@@ -94,7 +94,7 @@ def run_uninstrumented() -> None:
 
 def run_engine(obs: Observability | None) -> None:
     with Engine(workers=1, executor="serial", obs=obs) as engine:
-        engine.run_many(make_jobs(), pipeline=False)
+        engine.run_many(make_jobs())
 
 
 def interleaved_times(configs: dict, rounds: int = REPEATS) -> dict:

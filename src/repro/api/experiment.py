@@ -55,6 +55,11 @@ KINDS = (
 #: Kinds that always lower through the distributed IR (protocol family).
 _DISTRIBUTED_KINDS = frozenset({"multistate_swap", "nstate_swap", "nparty_hadamard"})
 
+#: Kinds that run through ``run_multiparty_swap_test``, which builds the
+#: monolithic or the COMPAS circuit and nothing else.
+_SWAP_TEST_KINDS = frozenset({"swap_test", "trace_sum", "renyi", "spectroscopy", "virtual", "qsp"})
+_SWAP_TEST_BACKENDS = ("monolithic", "compas")
+
 _PAULI_LETTERS = frozenset("IXYZ")
 
 
@@ -103,16 +108,18 @@ class Experiment:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
         self.protocol.validate()
+        backend = self.protocol.backend
+        if self.kind in _SWAP_TEST_KINDS and backend not in _SWAP_TEST_BACKENDS:
+            raise ValueError(
+                f"kind {self.kind!r} accepts backend {_SWAP_TEST_BACKENDS}, got {backend!r}"
+            )
         self.noise.validate()
         self.network.validate()
-        if not self.network.is_ideal and self.protocol.backend not in (
-            "compas",
-            "distributed",
-        ):
+        if not self.network.is_ideal and backend not in ("compas", "distributed"):
             raise ValueError(
                 "a physical network (nonzero link noise or QPU overrides) requires "
                 "a distributed backend ('compas' or 'distributed'); "
-                f"backend={self.protocol.backend!r} would silently ignore it"
+                f"backend={backend!r} would silently ignore it"
             )
         self.options.validate()
         _PAYLOAD_VALIDATORS[self.kind](self)

@@ -11,19 +11,19 @@ Layers (each independently testable):
 * :class:`~repro.engine.cache.ResultCache` — in-memory + on-disk result
   store keyed on the job hash.
 
-``Engine(workers=1, cache=False)`` is exactly the legacy direct path: one
-worker, no cache, same batch partition — and therefore the same bits.
-
-Cross-job pipelining: :meth:`Engine.run_many` and :meth:`Engine.sweep`
-submit *all* batches of *all* non-cached jobs to the shared pool at once
-(futures keyed by ``(job_index, batch_index)``) and reduce each job in
-batch-index order as its futures complete, so a sweep of many small jobs
-keeps every worker busy across job boundaries instead of draining the
-pool at each job's tail.  RNG substreams depend only on
-``(job.seed, batch.index)``, so the pipelined results are bit-identical
-to the per-job serial path at any worker count.  :meth:`Engine.as_completed`
-exposes the same machinery as a stream, yielding ``(index, result)`` pairs
-in completion order for incremental progress reporting.
+One execution path: :meth:`Engine.run` is ``run_many([job])[0]`` and
+:meth:`Engine.sweep` calls :meth:`Engine.run_many`.  Each job is routed
+and planned once; :meth:`~repro.engine.scheduler.Scheduler.decide` runs
+it inline on the calling thread or sends it to the pool.  All pooled
+batches of all non-cached jobs are submitted at once (futures keyed by
+``(job_index, batch_index)``) and each job is reduced in batch-index order
+as its futures complete, so a sweep of many small jobs keeps every worker
+busy across job boundaries instead of draining the pool at each job's
+tail.  RNG substreams depend only on ``(job.seed, batch.index)``, so
+results are bit-identical at any worker count and executor.
+:meth:`Engine.as_completed` exposes the same machinery as a stream,
+yielding ``(index, result)`` pairs in completion order for incremental
+progress reporting.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import numpy as np
 from ..obs.runtime import NOOP, Observability
 from .cache import ResultCache
 from .cancel import CancelToken, JobCancelled
-from .costmodel import CostModel, DispatchPlan
+from .costmodel import CostModel
 from .job import Job, JobResult
 from .router import BackendChoice, BackendRouter
 from .runners import (
@@ -266,82 +266,33 @@ class Engine:
         while not event.wait(0.05):
             cancel.raise_if_cancelled()
 
-    def _compute_singleflight(
-        self,
-        job: Job,
-        key: str,
-        parent_id: str | None,
-        cancel: CancelToken | None,
-    ) -> JobResult:
-        """Compute one job, joining a concurrent identical computation.
-
-        The joiner is served from cache the moment the owner stores; if
-        the owner aborts without storing (failure, cancellation), the
-        joiner claims the flight itself and computes.
-        """
-        while True:
-            owned, event = self._try_claim(key)
-            if owned:
-                try:
-                    return self._run_uncached(
-                        job, key, parent_id=parent_id, cancel=cancel
-                    )
-                finally:
-                    self._release(key)
-            self._join(event, cancel)
-            hit = self._cache_hit(key, parent_id=parent_id)
-            if hit is not None:
-                return hit
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(self, job: Job, *, cancel: CancelToken | None = None) -> JobResult:
-        """Execute one job (or serve it from cache).
+        """Execute one job (or serve it from cache): ``run_many([job])[0]``.
 
         ``cancel`` (or an enclosing :meth:`cancel_scope`) cooperatively
         aborts between batches with
         :class:`~repro.engine.cancel.JobCancelled`.
         """
-        cancel = self._cancel_for(cancel)
-        with self._toplevel():
-            if cancel is not None:
-                cancel.raise_if_cancelled()
-            key = job.content_hash()
-            tracer = self.obs.tracer
-            span = tracer.begin("engine.run", job_hash=key[:16], shots=job.shots)
-            error = None
-            try:
-                hit = self._cache_hit(key, parent_id=span.span_id)
-                if hit is not None:
-                    span.set("cache", "hit")
-                    return hit
-                return self._compute_singleflight(job, key, span.span_id, cancel)
-            except BaseException as exc:
-                error = exc
-                raise
-            finally:
-                tracer.end(span, error=error)
+        return self.run_many([job], cancel=cancel)[0]
 
     def run_many(
-        self,
-        jobs: Sequence[Job],
-        *,
-        pipeline: bool = True,
-        cancel: CancelToken | None = None,
+        self, jobs: Sequence[Job], *, cancel: CancelToken | None = None
     ) -> list[JobResult]:
         """Execute several jobs; all jobs' batches share the worker pool.
 
-        With ``pipeline=True`` (the default) every batch of every
-        non-cached job is submitted to the pool at once, so small jobs
-        cannot leave workers idle at job boundaries.  ``pipeline=False``
-        keeps the historical one-job-at-a-time path.  Both are
-        bit-identical at equal seeds for any worker count.
+        The engine's one execution path (:meth:`run` and :meth:`sweep` go
+        through it).  Each job is routed and planned once, and
+        :meth:`~repro.engine.scheduler.Scheduler.decide` says whether its
+        batches run inline on the calling thread or go to the pool.  Every
+        pooled batch of every non-cached job is submitted at once, so
+        small jobs cannot leave workers idle at job boundaries, and the
+        inline jobs run while the pool works.  Results are bit-identical
+        at equal seeds for any worker count and executor.
         """
         jobs = list(jobs)
-        if not pipeline:
-            with self._toplevel():
-                return [self.run(job, cancel=cancel) for job in jobs]
         results: list[JobResult | None] = [None] * len(jobs)
         for index, result in self.as_completed(jobs, cancel=cancel):
             results[index] = result
@@ -357,7 +308,7 @@ class Engine:
         batch-index order) the moment its last batch lands, so long sweeps
         can report progress incrementally.  When the cache is enabled,
         duplicate jobs inside one call are computed once and the repeats
-        served as cache hits — exactly what the serial path would do.
+        served as cache hits.
         Duplicates *across* concurrent calls (two tenants of a shared
         service engine sweeping overlapping grids) are deduped the same
         way: a job some other thread is already computing is joined and
@@ -406,8 +357,8 @@ class Engine:
             key = job.content_hash()
             if key in pending_keys:
                 # A known in-flight duplicate: skip the redundant lookup
-                # (and its miss counter) — it will be served after the
-                # first occurrence computes, like on the serial path.
+                # (and its miss counter) — it will be served from cache
+                # after the first occurrence computes.
                 pending.append((index, job, key))
                 continue
             hit = self._cache_hit(key, parent_id=parent_id)
@@ -416,28 +367,14 @@ class Engine:
             else:
                 pending.append((index, job, key))
                 pending_keys.add(key)
-        if not pending:
-            return
-        if not self.scheduler.pooled:
-            computed: set[str] = set()
-            for index, job, key in pending:
-                if key in computed:
-                    # Same dedupe contract as the pooled pipeline: repeats
-                    # of a job computed in this call are served from cache.
-                    yield index, self._cache_hit(key, parent_id=parent_id)
-                    continue
-                yield index, self._compute_singleflight(job, key, parent_id, cancel)
-                if self.cache is not None:
-                    computed.add(key)
-            return
-        yield from self._pipeline(pending, parent_id, cancel)
+        if pending:
+            yield from self._pipeline(pending, parent_id, cancel)
 
     def sweep(
         self,
         make_job: Callable[..., Job],
         grid: Mapping[str, Sequence],
         *,
-        pipeline: bool = True,
         cancel: CancelToken | None = None,
     ) -> list[SweepPoint]:
         """Run ``make_job(**params)`` over the cartesian product of ``grid``.
@@ -449,7 +386,7 @@ class Engine:
         params_list = list(grid_points(grid))
         jobs = [make_job(**params) for params in params_list]
         with self._toplevel():
-            results = self.run_many(jobs, pipeline=pipeline, cancel=cancel)
+            results = self.run_many(jobs, cancel=cancel)
         return [
             SweepPoint(params=params, result=result)
             for params, result in zip(params_list, results)
@@ -587,10 +524,9 @@ class Engine:
     def _pipeline(
         self, pending, parent_id: str | None = None, cancel: CancelToken | None = None
     ) -> Iterator[tuple[int, JobResult]]:
-        """Fan all batches of all pending jobs across the shared pool."""
+        """Run every pending job: pooled batches fan out, inline jobs run here."""
         # Within-run dedupe: with a cache, one computation per distinct
-        # hash; repeats are served from cache when the original finishes
-        # (matching the serial path's behaviour and counters).
+        # hash; repeats are served from cache when the original finishes.
         duplicates: dict[str, list[int]] = {}
         submit: list[tuple[int, Job, str]] = []
         if self.cache is not None:
@@ -622,58 +558,71 @@ class Engine:
             else:
                 joined.append((entry, event))
 
-        # Routing and dispatch planning happen up front so a bad job fails
-        # before anything runs.  Density jobs are not picklable work units,
-        # and jobs the cost model judges smaller than one dispatch round
-        # trip gain nothing from the pool: both run inline on the calling
-        # thread, overlapping the pooled futures.
-        routed = [(index, job, key, self.router.select(job)) for index, job, key in owned]
-        process_pool = self.scheduler.process_pooled
-        inline: list[tuple] = []
-        pooled: list[tuple] = []
-        for index, job, key, choice in routed:
-            if choice.name == "density":
-                inline.append((index, job, key, choice))
-                continue
-            batches = self.scheduler.plan(job)
-            if process_pool:
-                plan = self.scheduler.decide(job, choice.name, len(batches))
-            else:
-                plan = DispatchPlan(pooled=True, per_batch=True)
-            if not plan.pooled:
-                inline.append((index, job, key, choice))
-                continue
-            pooled.append((index, job, key, choice, plan, batches))
-
         tracer = self.obs.tracer
         states: dict[int, _PendingJob] = {}
         future_map: dict = {}
+
+        def start(index, job, key, choice, batches) -> _PendingJob:
+            span = tracer.begin(
+                "engine.job",
+                parent_id=parent_id,
+                job_hash=key[:16],
+                backend=choice.name,
+                shots=job.shots,
+                batches=len(batches),
+            )
+            state = _PendingJob(
+                job=job,
+                key=key,
+                choice=choice,
+                expected=len(batches),
+                started=time.perf_counter(),
+                span=span,
+            )
+            states[index] = state
+            return state
+
+        def settle(index, state) -> Iterator[tuple[int, JobResult]]:
+            result = self._finish(
+                state.job,
+                state.key,
+                state.choice,
+                state.stats,
+                time.perf_counter() - state.started,
+                parent_id=state.span.span_id,
+            )
+            tracer.end(state.span)
+            state.span = None
+            self._release(state.key)
+            claimed.discard(state.key)
+            yield index, result
+            yield from self._serve_duplicates(duplicates, state.key, parent_id)
+
         try:
+            # Each job is routed and planned once, up front, so a bad job
+            # fails before anything runs (and the finally below releases
+            # every claim).  The scheduler's dispatch policy sends each job
+            # to the pool or keeps it inline on the calling thread, where
+            # it runs while the pool chews on the submitted batches.
+            inline: list[tuple] = []
+            pooled: list[tuple] = []
+            for index, job, key in owned:
+                choice = self.router.select(job)
+                batches = self.scheduler.plan(job)
+                plan = self.scheduler.decide(job, choice.name, len(batches))
+                target = pooled if plan.pooled else inline
+                target.append((index, job, key, choice, plan, batches))
+
             # Submission happens inside the try so a mid-loop failure
             # (e.g. a broken process pool) still cancels what went in.
             for index, job, key, choice, plan, batches in pooled:
                 if cancel is not None:
                     cancel.raise_if_cancelled()
-                job_span = tracer.begin(
-                    "engine.job",
-                    parent_id=parent_id,
-                    job_hash=key[:16],
-                    backend=choice.name,
-                    shots=job.shots,
-                    batches=len(batches),
-                )
-                state = _PendingJob(
-                    job=job,
-                    key=key,
-                    choice=choice,
-                    expected=len(batches),
-                    started=time.perf_counter(),
-                    span=job_span,
-                )
-                states[index] = state
+                state = start(index, job, key, choice, batches)
+                span_id = state.span.span_id
                 if plan.per_batch:
                     for batch in batches:
-                        ctx = tracer.batch_context(job_span.span_id) if tracer.enabled else None
+                        ctx = tracer.batch_context(span_id) if tracer.enabled else None
                         future = self.scheduler.submit(job, batch, choice.name, trace=ctx)
                         future_map[future] = (index, (batch,), ctx, time.perf_counter())
                 else:
@@ -685,7 +634,7 @@ class Engine:
                     state.expected = len(groups)
                     warm = min(len(groups), self.scheduler.workers)
                     for position, group in enumerate(groups):
-                        ctx = tracer.batch_context(job_span.span_id) if tracer.enabled else None
+                        ctx = tracer.batch_context(span_id) if tracer.enabled else None
                         future = self.scheduler.submit_group(
                             job,
                             key,
@@ -696,41 +645,21 @@ class Engine:
                             ship_job=position < warm,
                         )
                         future_map[future] = (index, group, ctx, time.perf_counter())
-            # Inline jobs (density, cost-model-vetoed) run here while the
-            # pool chews on the submitted batches.
-            for index, job, key, choice in inline:
-                job_start = time.perf_counter()
-                job_span = tracer.begin(
-                    "engine.job",
-                    parent_id=parent_id,
-                    job_hash=key[:16],
-                    backend=choice.name,
-                    shots=job.shots,
-                )
-                batch_stats = []
-                for batch in self.scheduler.plan(job):
+
+            for index, job, key, choice, _plan, batches in inline:
+                state = start(index, job, key, choice, batches)
+                span_id = state.span.span_id
+                for batch in batches:
                     if cancel is not None:
                         cancel.raise_if_cancelled()
                     if tracer.enabled:
-                        ctx = tracer.batch_context(job_span.span_id)
+                        ctx = tracer.batch_context(span_id)
                         stats = execute_batch(job, batch, choice.name, trace=ctx)
-                        tracer.adopt(stats.spans, parent_id=job_span.span_id)
+                        tracer.adopt(stats.spans, parent_id=span_id)
                     else:
                         stats = execute_batch(job, batch, choice.name)
-                    batch_stats.append(stats)
-                result = self._finish(
-                    job,
-                    key,
-                    choice,
-                    batch_stats,
-                    time.perf_counter() - job_start,
-                    parent_id=job_span.span_id,
-                )
-                tracer.end(job_span)
-                self._release(key)
-                claimed.discard(key)
-                yield index, result
-                yield from self._serve_duplicates(duplicates, key, parent_id)
+                    state.stats.append(stats)
+                yield from settle(index, state)
 
             # Streaming reduce over a mutable pending set (not a fixed
             # as_completed iterable) so WorkerJobMiss retries can join the
@@ -784,20 +713,7 @@ class Engine:
                     self.scheduler.note_group(batch_stats)
                     state.stats.append(batch_stats)
                     if len(state.stats) == state.expected:
-                        result = self._finish(
-                            state.job,
-                            state.key,
-                            state.choice,
-                            state.stats,
-                            time.perf_counter() - state.started,
-                            parent_id=state.span.span_id,
-                        )
-                        tracer.end(state.span)
-                        state.span = None
-                        self._release(state.key)
-                        claimed.discard(state.key)
-                        yield index, result
-                        yield from self._serve_duplicates(duplicates, state.key, parent_id)
+                        yield from settle(index, state)
 
             # Our own work is done (and its claims released), so waiting
             # on other threads' flights cannot deadlock.
@@ -808,15 +724,16 @@ class Engine:
                 hit = self._cache_hit(key, parent_id=parent_id)
                 if hit is None:
                     # The owner aborted without storing (failure or
-                    # cancellation): compute it here after all.
-                    hit = self._compute_singleflight(job, key, parent_id, cancel)
-                elif tracer.enabled:
-                    tracer.event(
-                        "engine.singleflight_join",
-                        parent_id=parent_id,
-                        job_hash=key[:16],
-                    )
-                yield index, hit
+                    # cancellation): take the flight over on this path.
+                    yield from self._pipeline([(index, job, key)], parent_id, cancel)
+                else:
+                    if tracer.enabled:
+                        tracer.event(
+                            "engine.singleflight_join",
+                            parent_id=parent_id,
+                            job_hash=key[:16],
+                        )
+                    yield index, hit
                 yield from self._serve_duplicates(duplicates, key, parent_id)
         except GeneratorExit:
             # An abandoned generator must not leave batches queued — but
@@ -825,8 +742,8 @@ class Engine:
                 future.cancel()
             raise
         except BaseException as exc:
-            # Any failure (a dead batch, an inline density job, a cache
-            # write) quiets the pool before it propagates.
+            # Any failure (a dead batch, an inline job, a cache write)
+            # quiets the pool before it propagates.
             if tracer.enabled:
                 tracer.event(
                     "engine.cancel_and_drain",
@@ -897,42 +814,6 @@ class Engine:
             self.stats.jobs += 1
             self.stats.cached_jobs += 1
         return hit
-
-    def _run_uncached(
-        self,
-        job: Job,
-        key: str,
-        parent_id: str | None = None,
-        cancel: CancelToken | None = None,
-    ) -> JobResult:
-        tracer = self.obs.tracer
-        choice = self.router.select(job)
-        span = tracer.begin(
-            "engine.job",
-            parent_id=parent_id,
-            job_hash=key[:16],
-            backend=choice.name,
-            shots=job.shots,
-        )
-        start = time.perf_counter()
-        error = None
-        try:
-            batch_stats = self.scheduler.execute(
-                job, choice.name, trace_parent=span.span_id, cancel=cancel
-            )
-            return self._finish(
-                job,
-                key,
-                choice,
-                batch_stats,
-                time.perf_counter() - start,
-                parent_id=span.span_id,
-            )
-        except BaseException as exc:
-            error = exc
-            raise
-        finally:
-            tracer.end(span, error=error)
 
     def _finish(
         self,

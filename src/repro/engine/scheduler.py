@@ -1,15 +1,19 @@
-"""Batched shot scheduling over a worker pool.
+"""Batch planning, dispatch policy and pool submission.
 
 The scheduler splits a job's shot budget into fixed-size batches (the size
-comes from the job spec, not the pool) and fans them across a
-``concurrent.futures`` pool.  Each batch derives its RNG substream from
-``(job.seed, batch.index)`` alone, and results are reduced in batch-index
-order, so the outcome is bit-identical whether the batches run serially, on
-4 threads, or on 16 processes.
+comes from the job spec, not the pool), decides how each job's batches are
+dispatched (:meth:`Scheduler.decide`), and owns the ``concurrent.futures``
+pool the engine submits to.  It does not run jobs itself: the engine's one
+execution path (:meth:`~repro.engine.engine.Engine.run_many`) asks it for
+a plan per job and then runs the batches inline or submits them here.
+Each batch derives its RNG substream from ``(job.seed, batch.index)`` alone,
+and results are reduced in batch-index order, so the outcome is
+bit-identical whether the batches run serially, on 4 threads, or on 16
+processes.
 
 ``executor`` picks the pool flavour:
 
-* ``"serial"``  — run batches inline (no pool, the legacy direct path);
+* ``"serial"``  — run batches inline on the calling thread (no pool);
 * ``"thread"``  — :class:`~concurrent.futures.ThreadPoolExecutor` (default;
   cheap to spin up, shares the circuit objects);
 * ``"process"`` — :class:`~concurrent.futures.ProcessPoolExecutor` (true
@@ -29,11 +33,10 @@ with the payload attached.  Thread pools keep the historical
 one-future-per-batch shape — nothing is pickled, so grouping would only
 coarsen spans.
 
-Failure handling: when a pooled batch raises, every not-yet-started batch
-is cancelled and the still-running ones are drained before a
-:class:`~repro.engine.runners.BatchExecutionError` naming the failed batch
-index propagates — a dead batch never leaves the rest of the submission
-silently burning the pool.
+Failure handling: :meth:`Scheduler.cancel_and_drain` cancels every
+not-yet-started future and waits out the running ones, so the engine can
+report a failed batch without leaving the rest of the submission silently
+burning the pool.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ import math
 import pickle
 import threading
 from concurrent.futures import (
-    FIRST_COMPLETED,
     Executor,
     Future,
     ProcessPoolExecutor,
@@ -54,14 +56,10 @@ from concurrent.futures import (
 from ..obs.runtime import NOOP
 from ..sim.batched_stabilizer import get_stabilizer
 from ..sim.compile import get_capabilities, get_compiled
-from .cancel import CancelToken
 from .costmodel import CostModel, DispatchPlan
 from .job import Job
 from .runners import (
     Batch,
-    BatchExecutionError,
-    BatchStats,
-    WorkerJobMiss,
     _init_pool_worker,
     _warm_worker,
     execute_batch,
@@ -80,13 +78,13 @@ _log = logging.getLogger("repro.engine.scheduler")
 
 
 class Scheduler:
-    """Plans a job into batches and executes them on a worker pool.
+    """Plans a job into batches, decides their dispatch, and owns the pool.
 
     ``obs`` is the engine-propagated observability bundle (default: the
-    shared no-op).  With tracing enabled, :meth:`submit` ships a batch
-    context to the worker and :meth:`execute` adopts the returned
-    worker-side spans, so per-batch queue wait and compile/execute time
-    land in the parent trace.
+    shared no-op).  With tracing enabled, the submit methods ship a batch
+    context to the worker; the engine adopts the returned worker-side
+    spans, so per-batch queue wait and compile/execute time land in the
+    parent trace.
 
     ``cost_model`` owns the dispatch policy (inline vs pooled, batch-group
     sizing); pass a custom :class:`~repro.engine.costmodel.CostModel` to
@@ -157,22 +155,25 @@ class Scheduler:
         )
 
     def decide(self, job: Job, backend: str, num_batches: int) -> DispatchPlan:
-        """How this job's batches should be dispatched.
+        """How this job's batches should be dispatched: the engine's one policy.
 
-        Exact-distribution jobs and serial schedulers always run inline.
-        Thread pools keep the historical one-future-per-batch fan-out.
-        Process pools ship batch groups sized by the cost model; with
+        Serial schedulers and density jobs (not picklable work units) run
+        inline.  Thread pools get one future per batch, even for a
+        one-batch job.  Process pools run a one-batch job inline and ship
+        anything larger as batch groups sized by the cost model; with
         ``executor="auto"`` the cost model may also veto pooling entirely
         (a job smaller than its own dispatch overhead stays on the calling
         thread), while an explicit ``"process"`` executor is honored
         regardless of the estimate.
         """
-        if not self.pooled or num_batches <= 1 or backend == "density":
+        if not self.pooled or backend == "density":
             return DispatchPlan(pooled=False, reason="inline executor")
         if self.executor_kind == "thread":
             return DispatchPlan(
                 pooled=True, per_batch=True, reason="thread pool: per-batch"
             )
+        if num_batches <= 1:
+            return DispatchPlan(pooled=False, reason="single batch")
         estimate = self.estimate_job_seconds(job, backend)
         plan = self.cost_model.plan(estimate, num_batches, self.workers)
         if not plan.pooled and self.executor_kind == "process":
@@ -192,7 +193,7 @@ class Scheduler:
     def submit(
         self, job: Job, batch: Batch, backend: str, trace: dict | None = None
     ) -> Future:
-        """Submit one batch to the pool (the cross-job pipeline's primitive).
+        """Submit one batch to the pool (the thread-pool dispatch primitive).
 
         ``trace`` is an optional picklable batch context shipped to the
         worker; when None (tracing disabled) the submission is exactly the
@@ -316,143 +317,6 @@ class Scheduler:
             link_noise=live and noise.has_link_noise,
         )
 
-    # ------------------------------------------------------------------
-    # Single-job execution
-    # ------------------------------------------------------------------
-    def execute(
-        self,
-        job: Job,
-        backend: str,
-        trace_parent: str | None = None,
-        cancel: CancelToken | None = None,
-    ) -> list[BatchStats]:
-        """Run every batch of ``job`` on ``backend``; stats in index order.
-
-        ``trace_parent`` parents the adopted worker-side spans (the
-        single-job path; the engine's cross-job pipeline does its own
-        adoption to interleave batches of many jobs).  ``cancel`` is
-        checked between inline batches and before a pooled submission —
-        batch-granular cooperative cancellation; a tripped token raises
-        :class:`~repro.engine.cancel.JobCancelled`.
-
-        Pooled stats are reduced as futures complete (no whole-job
-        barrier) and ordered by batch index at the end.
-        """
-        batches = self.plan(job)
-        tracer = self.obs.tracer
-        plan = self.decide(job, backend, len(batches))
-        if not plan.pooled:
-            ordered = []
-            for batch in batches:
-                if cancel is not None:
-                    cancel.raise_if_cancelled()
-                if tracer.enabled:
-                    ctx = tracer.batch_context(trace_parent)
-                    stats = execute_batch(job, batch, backend, trace=ctx)
-                    tracer.adopt(stats.spans, parent_id=trace_parent)
-                else:
-                    # Historical call shape — monkeypatchable and identical
-                    # to the un-instrumented hot path.
-                    stats = execute_batch(job, batch, backend)
-                ordered.append(stats)
-            return ordered
-        if cancel is not None:
-            cancel.raise_if_cancelled()
-        if plan.per_batch:
-            future_map: dict[Future, tuple] = {}
-            for batch in batches:
-                ctx = tracer.batch_context(trace_parent) if tracer.enabled else None
-                future_map[self.submit(job, batch, backend, trace=ctx)] = (
-                    (batch,),
-                    ctx,
-                )
-            return self._collect(
-                future_map, job, job.content_hash(), backend, None, trace_parent, cancel
-            )
-        job_key = job.content_hash()
-        program = self.compiled_for(job, backend)
-        groups = plan.split(batches)
-        warm = min(len(groups), self.workers)
-        future_map = {}
-        for i, group in enumerate(groups):
-            ctx = tracer.batch_context(trace_parent) if tracer.enabled else None
-            future = self.submit_group(
-                job,
-                job_key,
-                group,
-                backend,
-                trace=ctx,
-                program=program if i < warm else None,
-                ship_job=i < warm,
-            )
-            future_map[future] = (group, ctx)
-        return self._collect(
-            future_map, job, job_key, backend, program, trace_parent, cancel
-        )
-
-    def _collect(
-        self,
-        future_map: dict[Future, tuple],
-        job: Job,
-        job_key: str,
-        backend: str,
-        program,
-        trace_parent: str | None,
-        cancel: CancelToken | None,
-    ) -> list:
-        """Streaming reduce: fold stats as futures complete.
-
-        ``future_map`` maps each future to ``(batches, trace_ctx)``.
-        ``WorkerJobMiss`` failures are resubmitted with the full payload
-        (and join the pending set mid-stream); any other failure cancels
-        and drains the remaining futures before raising.  The returned
-        stats are sorted by batch index, so the caller's reduction sees
-        the serial order regardless of completion order.
-        """
-        tracer = self.obs.tracer
-        results = []
-        pending = set(future_map)
-        try:
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    group, ctx = future_map.pop(future)
-                    exc = future.exception()
-                    if exc is None:
-                        stats = future.result()
-                        if tracer.enabled and stats.spans:
-                            tracer.adopt(stats.spans, parent_id=trace_parent)
-                        self.note_group(stats)
-                        results.append(stats)
-                        continue
-                    if isinstance(exc, WorkerJobMiss):
-                        if cancel is not None:
-                            cancel.raise_if_cancelled()
-                        retry = self.submit_group(
-                            job,
-                            job_key,
-                            group,
-                            backend,
-                            trace=ctx,
-                            program=program,
-                            ship_job=True,
-                        )
-                        future_map[retry] = (group, ctx)
-                        pending.add(retry)
-                        continue
-                    first = group[0]
-                    raise BatchExecutionError(
-                        f"batch {first.index} ({sum(b.shots for b in group)} shots"
-                        f" in {len(group)}-batch dispatch) failed on backend "
-                        f"{backend!r}: {exc}",
-                        batch_index=first.index,
-                    ) from exc
-        except BaseException:
-            self.cancel_and_drain(pending)
-            raise
-        results.sort(key=lambda stats: stats.index)
-        return results
-
     @staticmethod
     def cancel_and_drain(futures) -> None:
         """Cancel what hasn't started and wait out what has.
@@ -460,8 +324,8 @@ class Scheduler:
         The one place the pool-stays-reusable invariant lives: after this
         returns, no batch of the submission is queued or running, so the
         pool can take new work and the caller can safely report the first
-        failure.  Used by both :meth:`execute` and the engine's cross-job
-        pipeline.
+        failure.  Used by the engine's execution path and its outcome
+        sampler.
         """
         futures = list(futures)
         cancelled = 0

@@ -83,9 +83,9 @@ class TestEngineCancellation:
         with Engine() as engine:
             original = engine.scheduler.obs
             calls = {"n": 0}
-            import repro.engine.scheduler as sched_mod
+            import repro.engine.engine as engine_mod
 
-            real = sched_mod.execute_batch
+            real = engine_mod.execute_batch
 
             def tripping(job_, batch, backend, trace=None):
                 calls["n"] += 1
@@ -95,12 +95,12 @@ class TestEngineCancellation:
                     return real(job_, batch, backend)
                 return real(job_, batch, backend, trace)
 
-            sched_mod.execute_batch = tripping
+            engine_mod.execute_batch = tripping
             try:
                 with pytest.raises(JobCancelled):
                     engine.run(job, cancel=token)
             finally:
-                sched_mod.execute_batch = real
+                engine_mod.execute_batch = real
             assert calls["n"] == 1  # batches 2 and 3 were never computed
             assert original is engine.scheduler.obs
 

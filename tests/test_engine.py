@@ -320,6 +320,22 @@ class TestEngineFacade:
         assert res_p.parity_mean == res_t.parity_mean
         assert res_p.counts == res_t.counts
 
+    @pytest.mark.parametrize(
+        "executor,workers", [("serial", 1), ("thread", 4), ("process", 2), ("auto", 2)]
+    )
+    def test_run_is_run_many_of_one(self, executor, workers):
+        job = small_sv_job(seed=41, shots=700, batch_size=100)
+        with Engine(executor="serial") as serial:
+            reference = serial.run(job)
+        with Engine(workers=workers, executor=executor) as engine:
+            single = engine.run(job)
+            many = engine.run_many([job])[0]
+        for result in (single, many):
+            assert result.counts == reference.counts
+            assert result.parity_mean == reference.parity_mean
+            assert result.parity_stderr == reference.parity_stderr
+            assert result.job_hash == reference.job_hash == job.content_hash()
+
 
 class TestSingleFlight:
     """Cross-call dedupe: concurrent identical jobs compute once."""
@@ -368,6 +384,20 @@ class TestSingleFlight:
             assert engine.cache.stats.hits == 2    # seeds 2 and 3, joined
             assert out["a"][1].parity_mean == out["b"][0].parity_mean
             assert out["a"][2].parity_mean == out["b"][1].parity_mean
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unroutable_job_releases_its_claim(self, workers):
+        bad = Job(
+            circuit=ghz_sampling_circuit(),
+            shots=50,
+            seed=1,
+            frame_qubits=(0, 1, 2),
+            mode="frames",
+        )
+        with Engine(workers=workers, cache=True) as engine:
+            with pytest.raises(ValueError):
+                engine.run_many([bad])
+            assert engine._inflight == {}
 
     def test_joiner_recomputes_when_owner_aborts(self):
         import threading

@@ -204,9 +204,7 @@ class TestMetrics:
 class TestEngineTracing:
     @pytest.mark.parametrize("executor,workers", [("thread", 1), ("thread", 4)])
     def test_bit_identical_with_tracing_thread(self, executor, workers):
-        baseline = Engine(workers=1, executor="serial").run_many(
-            make_jobs(), pipeline=False
-        )
+        baseline = Engine(workers=1, executor="serial").run_many(make_jobs())
         obs = Observability()
         with Engine(workers=workers, executor=executor, obs=obs) as engine:
             traced = engine.run_many(make_jobs())
@@ -216,9 +214,7 @@ class TestEngineTracing:
         assert len(obs.tracer.span_dicts()) > 0
 
     def test_bit_identical_with_tracing_process(self):
-        baseline = Engine(workers=1, executor="serial").run_many(
-            make_jobs(count=2), pipeline=False
-        )
+        baseline = Engine(workers=1, executor="serial").run_many(make_jobs(count=2))
         obs = Observability()
         with Engine(workers=2, executor="process", obs=obs) as engine:
             traced = engine.run_many(make_jobs(count=2))

@@ -11,6 +11,7 @@ are byte-identical to a direct ``Experiment.sweep`` run, and
 ``GET /metrics`` reports queue depth, p50/p99 latency, and hit rate.
 """
 
+import dataclasses
 import http.client
 import json
 import threading
@@ -228,6 +229,53 @@ class TestFamilySpecParse:
         with pytest.raises(SpecError) as excinfo:
             parse_submission(spec, SpecLimits(max_qubits=4))
         assert "qubit limit" in str(excinfo.value)
+
+
+# ----------------------------------------------------------------------
+# Backend admission: what validates also runs
+# ----------------------------------------------------------------------
+SWAP_TEST_PAYLOADS = {
+    "swap_test": {"states": [[1, 0], [1, 0]]},
+    "trace_sum": {"groups": [[[1, 0], [1, 0]]], "weights": [1.0]},
+    "renyi": {"rho": [[1, 0], [0, 0]], "order": 2},
+    "spectroscopy": {"state": [1, 0, 0, 0], "keep": [0], "num_qubits": 2},
+    "virtual": {"rho": [[1, 0], [0, 0]], "observable": "Z", "copies": 2},
+    "qsp": {"rho": [[1, 0], [0, 0]], "factors": [[1.0], [1.0]]},
+}
+
+
+def kind_spec(kind, **protocol):
+    return {
+        "tenant": "alice",
+        "experiment": {
+            "kind": kind,
+            "payload": SWAP_TEST_PAYLOADS[kind],
+            "protocol": protocol,
+            "options": {"shots": 64, "seed": 1},
+        },
+    }
+
+
+class TestBackendAdmission:
+    @pytest.mark.parametrize("kind", sorted(SWAP_TEST_PAYLOADS))
+    def test_swap_test_kinds_reject_distributed_at_the_door(self, kind):
+        experiment = parse_submission(kind_spec(kind)).experiment
+        distributed = dataclasses.replace(
+            experiment,
+            protocol=dataclasses.replace(experiment.protocol, backend="distributed"),
+        )
+        with pytest.raises(ValueError, match="'monolithic', 'compas'"):
+            distributed.validate()
+        with pytest.raises(SpecError) as excinfo:
+            parse_submission(kind_spec(kind, backend="distributed"))
+        assert "'monolithic', 'compas'" in str(excinfo.value)
+
+    @pytest.mark.parametrize("kind", FAMILY_KINDS)
+    def test_family_kinds_accept_explicit_distributed(self, kind):
+        spec = family_spec(kind, protocol={"backend": "distributed"})
+        submission = parse_submission(spec)
+        assert submission.experiment.protocol.backend == "distributed"
+        submission.experiment.validate()
 
 
 # ----------------------------------------------------------------------

@@ -57,11 +57,7 @@ class TestPipelinedExecution:
         for workers in (1, 4, 8):
             with Engine(workers=workers) as engine:
                 piped = engine.run_many([small_sv_job(seed=s) for s in self.SEEDS])
-                per_job = engine.run_many(
-                    [small_sv_job(seed=s) for s in self.SEEDS], pipeline=False
-                )
             assert [result_bits(r) for r in piped] == [result_bits(r) for r in reference]
-            assert [result_bits(r) for r in per_job] == [result_bits(r) for r in reference]
 
     def test_pipelined_process_pool_identity(self):
         reference = self.reference()
@@ -78,12 +74,8 @@ class TestPipelinedExecution:
             base = serial.sweep(make_job, grid)
         with Engine(workers=4) as pooled:
             piped = pooled.sweep(make_job, grid)
-            per_job = pooled.sweep(make_job, grid, pipeline=False)
         assert [p.params for p in piped] == [p.params for p in base]
         assert [result_bits(p.result) for p in piped] == [
-            result_bits(p.result) for p in base
-        ]
-        assert [result_bits(p.result) for p in per_job] == [
             result_bits(p.result) for p in base
         ]
 
