@@ -16,7 +16,6 @@ Two headline rows, both acceptance-gated:
   backend pin) with perfect GHZ parity.
 """
 
-import numpy as np
 from conftest import cpu_count, emit, scaled, stopwatch
 
 from repro.circuits import Circuit

@@ -395,7 +395,6 @@ def _run_nparty_hadamard(experiment, options, engine):
 def _run_trace_sum(experiment, options, engine):
     groups = experiment.payload["groups"]
     weights = [complex(w) for w in experiment.payload["weights"]]
-    protocol = experiment.protocol
     rng = np.random.default_rng(options.seed)
 
     needs_shots = [j for j, g in enumerate(groups) if len(g) >= 2]
@@ -418,11 +417,7 @@ def _run_trace_sum(experiment, options, engine):
             shots=term_shots,
             seed=int(rng.integers(2**63)),
             engine=engine,
-            variant=protocol.variant,
-            backend=protocol.backend,
-            design=protocol.design,
-            noise=experiment.noise.to_model(),
-            batch_size=options.batch_size,
+            **_swap_kwargs(experiment),
         )
         terms.append(result)
         total += weight * result.estimate
@@ -477,7 +472,6 @@ def _run_spectroscopy(experiment, options, engine):
         payload["num_qubits"],
     )
     max_order = payload["max_order"] or rho.shape[0]
-    protocol = experiment.protocol
     power_sums: list[float] = [1.0]
     power_stderrs: list[float] = [0.0]
     rng = np.random.default_rng(options.seed)
@@ -487,10 +481,7 @@ def _run_spectroscopy(experiment, options, engine):
             shots=options.shots,
             seed=int(rng.integers(2**63)),
             engine=engine,
-            variant=protocol.variant,
-            backend=protocol.backend,
-            noise=experiment.noise.to_model(),
-            batch_size=options.batch_size,
+            **_swap_kwargs(experiment),
         )
         power_sums.append(result.estimate.real)
         power_stderrs.append(result.stderr_re)

@@ -56,9 +56,17 @@ KINDS = (
 _DISTRIBUTED_KINDS = frozenset({"multistate_swap", "nstate_swap", "nparty_hadamard"})
 
 #: Kinds that run through ``run_multiparty_swap_test``, which builds the
-#: monolithic or the COMPAS circuit and nothing else.
-_SWAP_TEST_KINDS = frozenset({"swap_test", "trace_sum", "renyi", "spectroscopy", "virtual", "qsp"})
-_SWAP_TEST_BACKENDS = ("monolithic", "compas")
+#: monolithic or the COMPAS circuit and nothing else, mapped to the backends
+#: their runner reads.  The ``virtual`` and ``qsp`` runners never read the
+#: backend or the network, so they admit only the monolithic circuit.
+_SWAP_TEST_BACKENDS = {
+    "swap_test": ("monolithic", "compas"),
+    "trace_sum": ("monolithic", "compas"),
+    "renyi": ("monolithic", "compas"),
+    "spectroscopy": ("monolithic", "compas"),
+    "virtual": ("monolithic",),
+    "qsp": ("monolithic",),
+}
 
 _PAULI_LETTERS = frozenset("IXYZ")
 
@@ -109,10 +117,9 @@ class Experiment:
             raise ValueError(f"kind must be one of {KINDS}")
         self.protocol.validate()
         backend = self.protocol.backend
-        if self.kind in _SWAP_TEST_KINDS and backend not in _SWAP_TEST_BACKENDS:
-            raise ValueError(
-                f"kind {self.kind!r} accepts backend {_SWAP_TEST_BACKENDS}, got {backend!r}"
-            )
+        accepted = _SWAP_TEST_BACKENDS.get(self.kind)
+        if accepted is not None and backend not in accepted:
+            raise ValueError(f"kind {self.kind!r} accepts backend {accepted}, got {backend!r}")
         self.noise.validate()
         self.network.validate()
         if not self.network.is_ideal and backend not in ("compas", "distributed"):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from collections.abc import Sequence
 
 __all__ = ["Table", "Series", "Figure"]
 

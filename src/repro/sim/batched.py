@@ -26,15 +26,8 @@ Memory is bounded by processing at most :data:`MAX_CHUNK_AMPLITUDES`
 amplitudes at a time; chunk boundaries depend only on ``(shots, dim)``, so
 chunking never breaks determinism.
 
-Array-API acceleration: the chunk evolution dispatches on the process-wide
-backend from :mod:`repro.sim.xp`.  NumPy keeps the historical in-place fast
-path byte-for-byte; any other namespace (CuPy, JAX, ``array_api_strict``,
-or NumPy itself with ``inplace=False`` for conformance testing) takes a
-functional, standard-conforming path (:func:`_run_chunk_xp`) that avoids
-fancy-index assignment, views, and ``einsum``.  RNG draws always happen on
-the host with the same sizes in the same order as the fast path, and data
-crosses the device boundary only at chunk entry/exit plus the per-collapse
-probability vector the host RNG needs.
+This is the one dense trajectory kernel: it works in place on NumPy arrays,
+and every sampled statevector run goes through :func:`_run_chunk`.
 """
 
 from __future__ import annotations
@@ -47,7 +40,6 @@ import numpy as np
 from ..utils.linalg import kron_all
 from .compile import CompiledProgram
 from .noisemodel import PAULI_MATRICES, NoiseModel
-from .xp import ArrayBackend, get_array_backend
 
 __all__ = ["BatchRunResult", "run_batched", "MAX_CHUNK_AMPLITUDES"]
 
@@ -134,7 +126,6 @@ def run_batched(
     if shots > 1 and shots * dim > MAX_CHUNK_AMPLITUDES:
         chunk = max(1, MAX_CHUNK_AMPLITUDES // dim)
 
-    backend = get_array_backend()
     clbit_parts = []
     state_parts = [] if return_states else None
     start = 0
@@ -145,16 +136,10 @@ def run_batched(
             if per_shot_states is not None
             else prefix_row
         )
-        if backend.is_numpy_fast_path:
-            part = _run_chunk(
-                program, take, rng, noise, start_index, init, forced_outcomes,
-                return_states,
-            )
-        else:
-            part = _run_chunk_xp(
-                program, take, rng, noise, start_index, init, forced_outcomes,
-                return_states, backend,
-            )
+        part = _run_chunk(
+            program, take, rng, noise, start_index, init, forced_outcomes,
+            return_states,
+        )
         clbit_parts.append(part.clbits)
         if state_parts is not None:
             state_parts.append(part.states)
@@ -392,242 +377,3 @@ def _parity(clbits: np.ndarray, cond_clbits: Sequence[int]) -> np.ndarray:
     for c in cond_clbits:
         acc ^= clbits[:, c]
     return acc
-
-
-# ----------------------------------------------------------------------
-# Portable chunk evolution (array API standard namespaces)
-# ----------------------------------------------------------------------
-# Functional counterparts of the in-place helpers above, restricted to the
-# array API standard: reshape / permute_dims / matmul / where / flip /
-# elementwise arithmetic and reductions.  Classical bits, masks, and every
-# RNG draw stay on the host as NumPy; only the (m, 2**n) state lives in the
-# selected namespace.  Draw sizes and order match the fast path exactly, so
-# on identical floating-point arithmetic (e.g. NumPy forced through this
-# path) the sampled bits are identical too.
-
-
-def _run_chunk_xp(
-    program: CompiledProgram,
-    shots: int,
-    rng: np.random.Generator,
-    noise: NoiseModel | None,
-    start_index: int,
-    init: np.ndarray,
-    forced_outcomes: Sequence[int] | None,
-    return_states: bool,
-    backend: ArrayBackend,
-) -> BatchRunResult:
-    """Portable (array-API) twin of :func:`_run_chunk`."""
-    xp = backend.xp
-    n = program.num_qubits
-    ops = program.ops
-    clbits = np.zeros((shots, program.num_clbits), dtype=np.uint8)
-    forced_iter = iter(forced_outcomes) if forced_outcomes is not None else None
-
-    if init.shape[0] == 1 and shots != 1:
-        host = np.repeat(init, shots, axis=0)
-    else:
-        host = np.ascontiguousarray(init, dtype=complex).copy()
-    state = backend.from_numpy(host)
-
-    for op in ops[start_index:]:
-        if op.kind in ("measure", "reset"):
-            active = None
-            if op.condition is not None:
-                mask = _parity(clbits, op.condition.clbits) == op.condition.value
-                if not mask.any():
-                    continue
-                active = mask
-            state, outcomes = _collapse_site_xp(
-                state, op.qubits[0], n, rng, forced_iter, active, backend
-            )
-            count = shots if active is None else int(active.sum())
-            if op.kind == "measure":
-                recorded = outcomes[active] if active is not None else outcomes
-                flip_rate = noise.meas_flip_rate(op.qpu) if noise is not None else 0.0
-                if flip_rate > 0.0:
-                    flips = rng.random(count) < flip_rate
-                    recorded = recorded ^ flips.astype(np.uint8)
-                if active is None:
-                    clbits[:, op.clbit] = recorded
-                else:
-                    clbits[active, op.clbit] = recorded
-            else:
-                flip = outcomes.astype(bool)
-                if active is not None:
-                    flip &= active
-                if flip.any():
-                    state = _flip_rows_xp(state, flip, op.qubits[0], n, backend)
-            continue
-        if op.condition is not None:
-            mask = _parity(clbits, op.condition.clbits) == op.condition.value
-            idx = np.nonzero(mask)[0]
-            if idx.size:
-                new_state = _apply_matrix_xp(state, op.matrix, op.qubits, n, backend)
-                cond = backend.from_numpy(mask[:, None])
-                state = xp.where(cond, new_state, state)
-                state = _site_faults_xp(state, idx, op, n, noise, rng, backend)
-        else:
-            state = _apply_matrix_xp(state, op.matrix, op.qubits, n, backend)
-            state = _site_faults_xp(
-                state, np.arange(shots), op, n, noise, rng, backend
-            )
-
-    final = backend.to_numpy(state) if return_states else None
-    return BatchRunResult(clbits=clbits, states=final)
-
-
-def _apply_matrix_xp(
-    state, matrix: np.ndarray, qubits: Sequence[int], num_qubits: int,
-    backend: ArrayBackend,
-):
-    """Portable k-qubit unitary on every row of a (m, 2**n) batch."""
-    xp = backend.xp
-    permute = getattr(xp, "permute_dims", None) or xp.transpose
-    m = state.shape[0]
-    k = len(qubits)
-    rest = [1 + q for q in range(num_qubits) if q not in qubits]
-    perm = [0] + [1 + q for q in qubits] + rest
-    inverse = np.argsort(perm)
-    tensor = xp.reshape(state, (m,) + (2,) * num_qubits)
-    tensor = permute(tensor, tuple(perm))
-    block = xp.reshape(tensor, (m, 2**k, -1))
-    block = xp.matmul(backend.from_numpy(np.ascontiguousarray(matrix)), block)
-    tensor = xp.reshape(block, (m,) + (2,) * num_qubits)
-    tensor = permute(tensor, tuple(int(i) for i in inverse))
-    return xp.reshape(tensor, (m, -1))
-
-
-def _collapse_site_xp(
-    state,
-    qubit: int,
-    num_qubits: int,
-    rng: np.random.Generator,
-    forced_iter,
-    active: np.ndarray | None,
-    backend: ArrayBackend,
-):
-    """Portable Z-basis collapse of ``qubit``.
-
-    ``active`` is a host boolean mask of the shots that execute this site
-    (``None`` = all).  Inactive rows pass through untouched: their keep
-    factor is 1 on both branches and their renormalisation divisor is 1.
-    Returns ``(state, outcomes)`` with ``outcomes`` sized over all shots
-    (inactive entries are 0 and meaningless).
-    """
-    xp = backend.xp
-    m = state.shape[0]
-    # Row-major qubit axes put qubit q after 2**q leading block entries.
-    tensor = xp.reshape(state, (m, 2**qubit, 2, -1))
-    amp0 = tensor[:, :, 0, :]
-    p0 = backend.to_numpy(
-        xp.sum(xp.real(amp0 * xp.conj(amp0)), axis=(1, 2))
-    )
-    count = m if active is None else int(active.sum())
-    outcomes = np.zeros(m, dtype=np.uint8)
-    if forced_iter is not None:
-        forced = next(forced_iter)
-        if forced not in (0, 1):
-            raise ValueError("forced outcomes must be 0 or 1")
-        if active is None:
-            outcomes[:] = forced
-        else:
-            outcomes[active] = forced
-    else:
-        draws = rng.random(count)
-        if active is None:
-            outcomes[:] = (draws >= p0).astype(np.uint8)
-        else:
-            outcomes[active] = (draws >= p0[active]).astype(np.uint8)
-
-    keep = np.ones((m, 2), dtype=np.float64)
-    rows = np.arange(m) if active is None else np.nonzero(active)[0]
-    keep[rows, 1 - outcomes[rows]] = 0.0
-    tensor = tensor * xp.reshape(backend.from_numpy(keep), (m, 1, 2, 1))
-    surviving = np.where(outcomes[rows] == 0, p0[rows], 1.0 - p0[rows])
-    if np.any(surviving < 1e-30):
-        raise RuntimeError("collapse onto zero-probability branch")
-    norm2 = xp.sum(xp.real(tensor * xp.conj(tensor)), axis=(1, 2, 3))
-    divisor = xp.sqrt(norm2)
-    if active is not None:
-        one = backend.from_numpy(np.ones(m))
-        divisor = xp.where(backend.from_numpy(active), divisor, one)
-    tensor = tensor / xp.reshape(divisor, (m, 1, 1, 1))
-    return xp.reshape(tensor, (m, -1)), outcomes
-
-
-def _flip_rows_xp(
-    state, flip: np.ndarray, qubit: int, num_qubits: int, backend: ArrayBackend
-):
-    """Portable X on ``qubit`` for the rows marked in host mask ``flip``."""
-    xp = backend.xp
-    m = state.shape[0]
-    tensor = xp.reshape(state, (m, 2**qubit, 2, -1))
-    flipped = xp.flip(tensor, axis=2)
-    cond = backend.from_numpy(flip[:, None, None, None])
-    tensor = xp.where(cond, flipped, tensor)
-    return xp.reshape(tensor, (m, -1))
-
-
-def _site_faults_xp(
-    state,
-    rows: np.ndarray,
-    op,
-    num_qubits: int,
-    noise: NoiseModel | None,
-    rng: np.random.Generator,
-    backend: ArrayBackend,
-):
-    """Portable twin of :func:`_site_faults` (same draw order and sizes)."""
-    if noise is None:
-        return state
-    if op.sample_fault:
-        state = _inject_faults_xp(
-            state, rows, op.qubits, num_qubits,
-            noise.gate_error_rate(len(op.qubits), op.qpu), rng, backend,
-        )
-    if op.link_hops:
-        state = _inject_faults_xp(
-            state, rows, op.qubits, num_qubits,
-            noise.link_error_rate(op.link_hops), rng, backend,
-        )
-    return state
-
-
-def _inject_faults_xp(
-    state,
-    rows: np.ndarray,
-    qubits: Sequence[int],
-    num_qubits: int,
-    rate: float,
-    rng: np.random.Generator,
-    backend: ArrayBackend,
-):
-    """Portable depolarizing fault injection at one stochastic site.
-
-    Each distinct Pauli word is applied to the whole batch and recombined
-    onto its firing subset with ``where`` — more flops than the fast
-    path's subset gather, but free of fancy-index writes.
-    """
-    if rate <= 0.0:
-        return state
-    xp = backend.xp
-    m = state.shape[0]
-    fires = rng.random(rows.size) < rate
-    hit = rows[fires]
-    if not hit.size:
-        return state
-    k = len(qubits)
-    words = rng.integers(1, 4**k, size=hit.size)
-    for word in np.unique(words):
-        subset = hit[words == word]
-        paulis = [
-            PAULI_MATRICES[_PAULI_NAMES[(int(word) >> (2 * (k - 1 - i))) & 3]]
-            for i in range(k)
-        ]
-        applied = _apply_matrix_xp(state, kron_all(paulis), qubits, num_qubits, backend)
-        mask = np.zeros(m, dtype=bool)
-        mask[subset] = True
-        cond = backend.from_numpy(mask[:, None])
-        state = xp.where(cond, applied, state)
-    return state

@@ -77,6 +77,12 @@ class TestSpecValidation:
             with pytest.raises(ValueError):
                 bad.validate()
 
+    def test_options_have_no_array_api_field(self):
+        # The portable array-API kernel is gone; the field must not come back
+        # as a silently ignored option.
+        with pytest.raises(TypeError):
+            RunOptions(array_api="numpy")
+
     def test_noise_spec_coercions(self):
         assert NoiseSpec.from_base(0.01) == NoiseSpec(p1=0.001, p2=0.01, p_meas=0.01)
         assert NoiseSpec.noiseless().to_model() is None

@@ -15,8 +15,10 @@ Three-way agreement is the correctness argument for the new simulation core:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.circuits import Circuit, Condition
+from repro.circuits.gates import GATES
 from repro.core import build_monolithic_swap_test, swap_test_job
 from repro.core.estimator import exact_swap_test_expectation
 from repro.engine import BackendRouter, Engine, Job
@@ -38,8 +40,6 @@ ALL_GATES = ["h", "s", "sdg", "x", "y", "z", "cx", "cz", "swap", "t", "tdg", "cc
 
 
 def random_unitary_circuit(num_qubits, depth, rng):
-    from repro.circuits.gates import GATES
-
     c = Circuit(num_qubits)
     for _ in range(depth):
         name = str(rng.choice(ALL_GATES))
@@ -197,8 +197,37 @@ class TestKernelVsReference:
         assert np.allclose(tensor[:, 1, :], 0.0)  # qubit 0 always |0>
 
 
+@st.composite
+def feedback_circuits(draw):
+    """Circuits on up to 4 qubits mixing gates, measure and reset, any of
+    them parity-conditioned, ending in a readout of the low qubits."""
+    n = draw(st.integers(1, 4))
+    num_clbits = draw(st.integers(1, 4))
+    clbit = st.integers(0, num_clbits - 1)
+    names = [g for g in ALL_GATES if GATES[g].num_qubits <= n] + ["measure", "reset"] * 2
+    circuit = Circuit(n, num_clbits)
+    for _ in range(draw(st.integers(3, 12))):
+        name = draw(st.sampled_from(names))
+        arity = 1 if name in ("measure", "reset") else GATES[name].num_qubits
+        qubits = draw(st.permutations(range(n)))[:arity]
+        clbits = [draw(clbit)] if name == "measure" else []
+        condition = None
+        if draw(st.booleans()):
+            parity = draw(st.lists(clbit, min_size=1, max_size=num_clbits, unique=True))
+            condition = Condition(tuple(parity), draw(st.integers(0, 1)))
+        circuit.append(name, qubits, clbits=clbits, condition=condition)
+    for q in range(min(n, num_clbits)):
+        circuit.measure(q, q)
+    return circuit
+
+
 class TestKernelVsDensityExact:
-    def _compare(self, circuit, noise, shots=6000, atol=0.035, seed=11):
+    def _compare(self, circuit, noise, shots=6000, atol=0.035, seed=11, sigmas=None):
+        """Kernel frequencies vs exact branch probabilities.
+
+        The tolerance is ``atol`` per outcome, or ``sigmas`` binomial
+        standard errors (floored at one count) when ``sigmas`` is given.
+        """
         gate_noise = noise is not None and (noise.p1 > 0 or noise.p2 > 0)
         program = get_compiled(circuit, gate_noise=gate_noise)
         out = run_batched(
@@ -213,7 +242,21 @@ class TestKernelVsDensityExact:
             .items()
         }
         for key in set(exact) | set(empirical):
-            assert abs(exact.get(key, 0.0) - empirical.get(key, 0.0)) < atol
+            p = exact.get(key, 0.0)
+            tol = atol
+            if sigmas is not None:
+                tol = sigmas * np.sqrt(max(p * (1 - p), 1 / shots) / shots)
+            assert abs(p - empirical.get(key, 0.0)) < tol, (key, p, circuit)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        circuit=feedback_circuits(),
+        noise=st.sampled_from(
+            [NoiseModel(p1=0.1, p2=0.2, p_meas=0.05), NoiseModel.from_base(0.05), None]
+        ),
+    )
+    def test_random_feedback_circuits_match_density_at_5_sigma(self, circuit, noise):
+        self._compare(circuit, noise, shots=4000, seed=7, sigmas=5.0)
 
     def test_noiseless_bell_sampling(self):
         circuit = Circuit(2, 2).h(0).cx(0, 1).measure(0, 0).measure(1, 1)
@@ -271,6 +314,59 @@ class TestChunking:
         assert np.array_equal(first.clbits, second.clbits)
         strings = set("".join(str(int(b)) for b in row) for row in first.clbits)
         assert strings <= {"000", "111"}  # GHZ correlations survive chunking
+
+
+def _ghz_readout(width):
+    circuit = Circuit(width, width).h(0)
+    for q in range(1, width):
+        circuit.cx(q - 1, q)
+    for q in range(width):
+        circuit.measure(q, q)
+    return circuit
+
+
+def _teleport_then_reset():
+    circuit = teleport_circuit()
+    circuit.reset(0).h(0).measure(0, 0)
+    return circuit
+
+
+class TestSharedPrefixPath:
+    """A shared input state evolves the deterministic prefix once and
+    broadcasts it; per-shot input states evolve every op per row.  Both
+    consume the RNG in the same order with the same draw sizes, so from the
+    same |0...0> input (and the same chunk boundaries) they must be
+    bit-identical."""
+
+    CASES = {
+        "noiseless_ghz": (lambda: _ghz_readout(4), None),
+        "feedback_and_reset": (_teleport_then_reset, None),
+        "non_clifford": (
+            lambda: Circuit(2, 2).h(0).t(0).cx(0, 1).measure(0, 0).measure(1, 1),
+            None,
+        ),
+        "noisy_readout_ghz": (lambda: _ghz_readout(3), NoiseModel(p1=0.0, p2=0.0, p_meas=0.05)),
+    }
+
+    @pytest.mark.parametrize("chunked", [False, True], ids=["whole", "chunked"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_shared_prefix_matches_per_shot_input(self, case, chunked, monkeypatch):
+        import repro.sim.batched as batched
+
+        build, noise = self.CASES[case]
+        program = get_compiled(build())
+        assert program.prefix_len > 0  # the shortcut is actually taken
+        if chunked:
+            monkeypatch.setattr(batched, "MAX_CHUNK_AMPLITUDES", 16 * program.dim)
+        shots = 512
+        per_shot = np.zeros((shots, program.dim), dtype=complex)
+        per_shot[:, 0] = 1.0
+        shared = run_batched(program, shots, np.random.default_rng(1234), noise=noise)
+        rows = run_batched(
+            program, shots, np.random.default_rng(1234), noise=noise, initial_state=per_shot
+        )
+        assert np.array_equal(shared.clbits, rows.clbits)
+        assert len(set(shared.clbit_strings())) > 1  # sampled, not deterministic
 
 
 class TestEngineIntegration:

@@ -1,4 +1,4 @@
-"""Cross-validation of the batched stabilizer kernel and the array-API layer.
+"""Cross-validation of the batched stabilizer kernel.
 
 The correctness argument for the compile-once/sample-many stabilizer path:
 
@@ -11,10 +11,7 @@ The correctness argument for the compile-once/sample-many stabilizer path:
 * the vectorized ``sample_error_distribution`` against the retained per-shot
   reference loop (same fault model, different RNG consumption order);
 * engine results on the stabilizer backend across worker counts and
-  executors (bit identity — the engine's determinism contract);
-* the array-API backend layer: fallback behaviour without optional
-  accelerator libraries, and bit identity of the portable (standard-
-  conforming) dense kernel path against the in-place NumPy fast path.
+  executors (bit identity — the engine's determinism contract).
 """
 
 from collections import Counter
@@ -27,20 +24,13 @@ from repro.analysis.ghz_fidelity import build_distributed_ghz_circuit
 from repro.circuits import Circuit, Condition
 from repro.engine import BackendRouter, Engine, Job
 from repro.sim import (
-    ARRAY_APIS,
-    ArrayBackend,
     NoiseModel,
     PauliFrameSimulator,
     TableauSimulator,
-    compile_circuit,
     compile_stabilizer,
     get_stabilizer,
-    reset_array_backend,
-    resolve_array_backend,
-    run_batched,
     run_batched_frames,
     run_batched_stabilizer,
-    set_array_backend,
 )
 from repro.sim.batched_stabilizer import (
     clear_stabilizer_cache,
@@ -420,103 +410,3 @@ class TestEngineDeterminism:
         assert res.backend == "stabilizer"
         assert set(res.counts) <= {"0" * 64, "1" * 64}
         assert sum(res.counts.values()) == 256
-
-
-# ----------------------------------------------------------------------
-# Array-API layer: resolution, fallback, portable-path bit identity
-# ----------------------------------------------------------------------
-@pytest.fixture
-def restore_array_backend():
-    yield
-    reset_array_backend()
-
-
-class TestArrayBackendResolution:
-    def test_unknown_namespace_raises(self):
-        with pytest.raises(ValueError, match="must be one of"):
-            resolve_array_backend("torch")
-
-    def test_numpy_is_the_fast_path(self):
-        backend = resolve_array_backend("numpy")
-        assert backend.name == "numpy" and backend.is_numpy_fast_path
-        assert backend.fallback_reason is None
-
-    @pytest.mark.parametrize("name", ["cupy", "jax", "array-api-strict"])
-    def test_missing_accelerator_falls_back_cleanly(self, name):
-        backend = resolve_array_backend(name)
-        assert backend.requested == name
-        if backend.name == "numpy":
-            # The library is absent here: the fallback must be silent-but-
-            # recorded, never an exception.
-            assert backend.fallback_reason is not None
-            assert name in backend.fallback_reason
-        else:
-            assert backend.name == name and backend.fallback_reason is None
-
-    def test_auto_resolves_without_fallback_reason(self):
-        backend = resolve_array_backend("auto")
-        assert backend.fallback_reason is None
-        assert backend.name in ("numpy", "cupy", "jax")
-
-    def test_env_var_selection(self, monkeypatch, restore_array_backend):
-        monkeypatch.setenv("REPRO_ARRAY_API", "array-api-strict")
-        reset_array_backend()
-        backend = resolve_array_backend()
-        assert backend.requested == "array-api-strict"
-        monkeypatch.setenv("REPRO_ARRAY_API", "bogus")
-        with pytest.raises(ValueError):
-            resolve_array_backend()
-
-    def test_set_and_reset_roundtrip(self, restore_array_backend):
-        from repro.sim import get_array_backend
-
-        installed = set_array_backend("numpy")
-        assert get_array_backend() is installed
-        reset_array_backend()
-        assert get_array_backend() is not installed  # re-resolved from env
-
-    def test_run_options_validate_array_api(self):
-        from repro.api import RunOptions
-
-        RunOptions(array_api="numpy").validate()
-        with pytest.raises(ValueError, match="must be one of"):
-            RunOptions(array_api="torch").validate()
-        assert "auto" in ARRAY_APIS
-
-
-class TestPortableKernelPath:
-    """The standard-conforming dense path, forced onto NumPy, must be
-    bit-identical to the in-place fast path: both consume the host RNG in
-    the same order with the same draw sizes."""
-
-    @staticmethod
-    def _run(circuit, *, noise=None, shots=512, seed=1234):
-        program = compile_circuit(
-            circuit,
-            gate_noise=noise is not None and noise.has_gate_noise,
-            link_noise=noise is not None and noise.has_link_noise,
-        )
-        return run_batched(
-            program, shots, np.random.default_rng(seed), noise=noise
-        ).clbits
-
-    def _compare(self, circuit, noise=None):
-        fast = self._run(circuit, noise=noise)
-        set_array_backend(ArrayBackend(name="numpy", xp=np, inplace=False))
-        portable = self._run(circuit, noise=noise)
-        assert np.array_equal(fast, portable)
-
-    def test_noiseless_ghz(self, restore_array_backend):
-        self._compare(ghz_circuit(4))
-
-    def test_feedback_and_reset(self, restore_array_backend):
-        circuit = teleport_circuit()
-        circuit.reset(0)
-        circuit.h(0)
-        self._compare(circuit)
-
-    def test_non_clifford(self, restore_array_backend):
-        self._compare(magic_circuit())
-
-    def test_noisy_ghz(self, restore_array_backend):
-        self._compare(ghz_circuit(3), noise=NoiseModel.from_base(0.05))

@@ -634,6 +634,24 @@ class TestNetworkExperiments:
         assert estimates[0] > estimates[1] > estimates[2]
         assert estimates[0] == pytest.approx(1.0, abs=0.05)
 
+    @pytest.mark.parametrize("kind", ["swap_test", "renyi", "trace_sum", "spectroscopy"])
+    def test_compas_kinds_honour_link_noise(self, kind):
+        # Every kind that runs on the COMPAS circuit must lower through the
+        # experiment's physical network: at equal seed, noisy links move
+        # the estimate away from the ideal-link one.
+        psi = np.array([0.8, 0.0, 0.0, 0.6], dtype=complex)
+        rho = np.diag([0.7, 0.3]).astype(complex)
+        common = {"shots": 400, "seed": 3, "backend": "compas"}
+        base = {
+            "swap_test": lambda: Experiment.swap_test([rho, rho], **common),
+            "renyi": lambda: Experiment.renyi(rho, 2, **common),
+            "trace_sum": lambda: Experiment.trace_sum([[rho, rho]], [1.0], **common),
+            "spectroscopy": lambda: Experiment.spectroscopy(psi, [0], 2, **common),
+        }[kind]()
+        ideal = base.run().estimate
+        noisy = base.derive(network=NetworkSpec(link_depolarizing=0.3)).run().estimate
+        assert noisy != ideal
+
     def test_network_fields_enter_experiment_hash(self):
         base = Experiment.swap_test(two_states(), shots=100, seed=1, backend="compas")
         assert (

@@ -140,6 +140,8 @@ class TestSpecParse:
         (lambda s: s["experiment"].update(protocol={"bogus": 1}), "protocol"),
         (lambda s: s["experiment"].update(options={"shots": -5}), "shots"),
         (lambda s: s["experiment"].update(options={"shots": 10**9}), "at most"),
+        (lambda s: s["experiment"].update(options={"shots": 10, "array_api": "numpy"}),
+         "unknown options field"),
         (lambda s: s["experiment"]["payload"].update(num_parties="three"), "integer"),
         (lambda s: s["experiment"]["payload"].update(num_parties=999), "num_parties"),
         (lambda s: s.update(sweep={"over": "p"}), "sweep"),
@@ -256,19 +258,41 @@ def kind_spec(kind, **protocol):
     }
 
 
+#: Backends each swap-test kind admits, as its rejection message spells them.
+ACCEPTED_BACKENDS = {
+    "swap_test": "('monolithic', 'compas')",
+    "trace_sum": "('monolithic', 'compas')",
+    "renyi": "('monolithic', 'compas')",
+    "spectroscopy": "('monolithic', 'compas')",
+    "virtual": "('monolithic',)",
+    "qsp": "('monolithic',)",
+}
+
+
 class TestBackendAdmission:
+    @staticmethod
+    def assert_rejected_at_the_door(kind, backend):
+        experiment = parse_submission(kind_spec(kind)).experiment
+        rejected = dataclasses.replace(
+            experiment,
+            protocol=dataclasses.replace(experiment.protocol, backend=backend),
+        )
+        with pytest.raises(ValueError) as excinfo:
+            rejected.validate()
+        assert ACCEPTED_BACKENDS[kind] in str(excinfo.value)
+        with pytest.raises(SpecError) as excinfo:
+            parse_submission(kind_spec(kind, backend=backend))
+        assert ACCEPTED_BACKENDS[kind] in str(excinfo.value)
+
     @pytest.mark.parametrize("kind", sorted(SWAP_TEST_PAYLOADS))
     def test_swap_test_kinds_reject_distributed_at_the_door(self, kind):
-        experiment = parse_submission(kind_spec(kind)).experiment
-        distributed = dataclasses.replace(
-            experiment,
-            protocol=dataclasses.replace(experiment.protocol, backend="distributed"),
-        )
-        with pytest.raises(ValueError, match="'monolithic', 'compas'"):
-            distributed.validate()
-        with pytest.raises(SpecError) as excinfo:
-            parse_submission(kind_spec(kind, backend="distributed"))
-        assert "'monolithic', 'compas'" in str(excinfo.value)
+        self.assert_rejected_at_the_door(kind, "distributed")
+
+    @pytest.mark.parametrize("kind", ["virtual", "qsp"])
+    def test_monolithic_only_kinds_reject_compas_at_the_door(self, kind):
+        # Their runners never read the backend or the network, so COMPAS
+        # would silently run the monolithic circuit.
+        self.assert_rejected_at_the_door(kind, "compas")
 
     @pytest.mark.parametrize("kind", FAMILY_KINDS)
     def test_family_kinds_accept_explicit_distributed(self, kind):
