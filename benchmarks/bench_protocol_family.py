@@ -6,15 +6,17 @@ Hadamard test (arXiv:2411.10024) through the full Experiment -> Engine
 pipeline on random pure-state workloads, reporting |estimate - exact| in
 standard errors, and checks the family ranking analysis: every scheme
 bounded in (0, 1], per-topology rankings with COMPAS plus at least two
-alternatives under one NetworkSpec.
+alternatives under one NetworkSpec.  The throughput row holds the widest
+members the live-width kernel made practical to a sampling-rate floor.
 """
 
 import numpy as np
-from conftest import FULL_SCALE, emit, make_engine, stopwatch
+from conftest import FULL_SCALE, cpu_count, emit, make_engine, scaled, stopwatch
 
 from repro.analysis.link_noise import crossover_link_rate, protocol_comparison
-from repro.api import Experiment, NetworkSpec
+from repro.api import Experiment, NetworkSpec, NoiseSpec
 from repro.core import FAMILY
+from repro.engine import Engine
 from repro.reporting import Table
 
 # Shot budgets scale with circuit width: the multistate campaign runs
@@ -118,3 +120,65 @@ def test_protocol_family_ranking(once):
         wall_time=elapsed(),
         meta={"grid_points": len(grid)},
     )
+
+
+#: Sampling-rate floor of the widest members on one core (shots/s).
+THROUGHPUT_FLOOR = 1000.0
+THROUGHPUT_CASES = (("nparty_hadamard", 4), ("swap_test", 6))
+
+
+def test_protocol_family_throughput(once):
+    """nparty k=4 (20 qubits, 10 live) and COMPAS-teledata k=6 (22 qubits,
+    11 live) on a serial engine, with gate noise and noisy links, must
+    each sample at least ``THROUGHPUT_FLOOR`` shots per second."""
+    shots = scaled(full=8192, quick=2048, smoke=1024)
+    noise = NoiseSpec(p1=1e-4, p2=1e-3)
+    network = NetworkSpec(topology="line", link_depolarizing=0.01, swap_penalty=0.005)
+    rng = np.random.default_rng(2027)
+    engine = Engine(workers=1, executor="serial", cache=False)
+    table = Table(
+        "Protocol family throughput — serial engine, gate + link noise",
+        ["kind", "k", "qubits", "peak_live", "shots", "seconds", "shots_per_s"],
+    )
+
+    def run():
+        rows = []
+        for kind, k in THROUGHPUT_CASES:
+            options = {"backend": "compas"} if kind == "swap_test" else {}
+            experiment = getattr(Experiment, kind)(
+                _random_states(k, rng), shots=shots, seed=k, noise=noise,
+                network=network, **options,
+            )
+            experiment.run(engine)  # untimed: compile caches warm
+            with stopwatch() as elapsed:
+                result = experiment.run(engine)
+            rows.append((kind, k, result, elapsed()))
+        return rows
+
+    with stopwatch() as wall:
+        rows = once(run)
+    rates = {}
+    for kind, k, result, seconds in rows:
+        compiled = result.extra["resources"]["compiled"]
+        rates[f"{kind}-k{k}"] = shots / seconds
+        table.add_row(
+            kind=kind,
+            k=k,
+            qubits=compiled["num_qubits"],
+            peak_live=compiled["peak_live_qubits"],
+            shots=shots,
+            seconds=f"{seconds:.3f}",
+            shots_per_s=f"{shots / seconds:.0f}",
+        )
+    emit(
+        "protocol_family_throughput",
+        table,
+        wall_time=wall(),
+        engine=engine,
+        results=[result for _, _, result, _ in rows],
+        meta={"floor_shots_per_s": THROUGHPUT_FLOOR, "cpus": cpu_count(),
+              "shots_per_s": rates},
+    )
+    engine.close()
+    for case, rate in rates.items():
+        assert rate >= THROUGHPUT_FLOOR, f"{case}: {rate:.0f} shots/s"

@@ -146,10 +146,10 @@ def protocol_job(
 
     Each loaded position becomes a per-shot :class:`~repro.engine.Ensemble`
     over its user state's eigen-decomposition (pure states degenerate to a
-    single component).  The circuit's capability flags (a cached scan —
-    full compilation is left to the executing worker so the engine's
-    compile-time accounting stays honest) are recorded in the job
-    metadata.  ``backend`` optionally pins a simulator (e.g.
+    single component).  The circuit's capability flags and its allocated
+    and peak live widths (a cached scan — full compilation is left to the
+    executing worker so the engine's compile-time accounting stays honest)
+    are recorded in the job metadata.  ``backend`` optionally pins a simulator (e.g.
     ``"statevector-ref"`` for the per-shot reference path).
     """
     if build.basis is None:
@@ -177,6 +177,8 @@ def protocol_job(
             "k": build.k,
             "n": build.n,
             "compiled": {
+                "num_qubits": circuit.num_qubits,
+                "peak_live_qubits": capabilities.peak_live_qubits,
                 "instructions": len(circuit.instructions),
                 "num_measurements": capabilities.num_measurements,
                 "is_clifford": capabilities.is_clifford,

@@ -16,7 +16,8 @@ policy lives:
   smaller groups improve load balance and cancellation granularity.
 
 Cost estimates come from ``(shots, n_qubits, stochastic sites, op
-count)`` with per-backend constants calibrated against
+count)`` — for the dense kernel ``n_qubits`` is the circuit's peak live
+width, the qubits it actually holds — with per-backend constants calibrated against
 ``benchmarks/out/engine_scaling.json`` on a commodity x86 core.  They
 are deliberately coarse — every decision is a threshold comparison
 against IPC overheads that are orders of magnitude apart, so a 3x

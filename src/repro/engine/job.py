@@ -158,16 +158,15 @@ class Job:
     def content_hash(self) -> str:
         """Stable hex digest of everything that determines the result.
 
-        The ``v5`` tag marks the protocol-family era: the distributed
-        builders gained new family members (pairwise multi-state, single-
-        ancilla n-state, N-party Hadamard) and a shared job-packaging path
-        whose ensemble ordering is position-driven rather than party-
-        driven, so cached bits persisted by the ``v4`` stabilizer-kernel
-        pipeline (or the earlier ``v3``/``v2``/``v1`` eras) must never be
-        served.
+        The ``v6`` tag marks the live-width dense kernel: it chunks a
+        batch by the circuit's peak *live* dimension instead of ``2**n``,
+        which moves chunk boundaries, and so sampled bits, for every job
+        whose batch times ``2**n`` exceeded the chunk bound.  Cached bits
+        persisted by the ``v5`` protocol-family era (or the earlier
+        ``v4``/``v3``/``v2``/``v1`` eras) must never be served.
         """
         h = hashlib.sha256()
-        h.update(b"repro-job-v5")
+        h.update(b"repro-job-v6")
         h.update(_circuit_digest(self.circuit))
         if self.backend is not None:
             h.update(b"be" + self.backend.encode())

@@ -12,7 +12,9 @@ the vectorized batch kernel: the circuit is lowered once per process
 (:mod:`repro.sim.compile`, cached by content digest), stochastic input
 ensembles are sampled in one vectorized draw and grouped by component so
 each distinct input state shares its deterministic prefix, and the whole
-group evolves as a ``(shots, 2**n)`` array.  ``statevector-ref`` keeps the
+group evolves as a ``(shots, 2**live)`` array over the qubits that are
+alive (the input registers are handed over as placements, never as an
+assembled ``2**n`` vector).  ``statevector-ref`` keeps the
 historical per-shot interpreter loop for cross-validation.
 
 ``execute_batch`` is a module-level function taking only picklable
@@ -369,12 +371,14 @@ def _accumulate_matrix(stats: BatchStats, clbits: np.ndarray, job: Job) -> None:
 
 def _ensemble_groups(
     job: Job, shots: int, rng: np.random.Generator
-) -> list[tuple[np.ndarray, int]]:
+) -> list[tuple[dict[tuple[int, ...], np.ndarray], int]]:
     """Sample every shot's input-ensemble components in one vectorized draw.
 
-    Returns ``(initial_state, count)`` groups — shots sharing a component
-    combination share one assembled input state, so the kernel evolves their
-    common deterministic prefix once per group instead of once per shot.
+    Returns ``(placements, count)`` groups — shots sharing a component
+    combination share one input, so the kernel evolves their common
+    deterministic prefix once per group instead of once per shot.  The
+    placements go to the kernel as they are: it brings each register to
+    life at its first touch, so no ``2**n`` input vector is ever built.
     """
     draws = []
     for ens in job.ensembles:
@@ -384,16 +388,16 @@ def _ensemble_groups(
             draws.append(rng.choice(len(ens.weights), p=ens.weights, size=shots))
     combos = np.stack(draws, axis=1)
     unique, combo_counts = np.unique(combos, axis=0, return_counts=True)
-    groups = []
-    for combo, count in zip(unique, combo_counts):
-        placements = {
-            ens.qubits: ens.vector(int(component))
-            for ens, component in zip(job.ensembles, combo)
-        }
-        groups.append(
-            (assemble_initial_state(job.circuit.num_qubits, placements), int(count))
+    return [
+        (
+            {
+                ens.qubits: ens.vector(int(component))
+                for ens, component in zip(job.ensembles, combo)
+            },
+            int(count),
         )
-    return groups
+        for combo, count in zip(unique, combo_counts)
+    ]
 
 
 def _statevector_batch(job: Job, batch: Batch) -> BatchStats:
@@ -410,9 +414,9 @@ def _statevector_batch(job: Job, batch: Batch) -> BatchStats:
     stats = BatchStats(index=batch.index, shots=batch.shots, compile_time=compile_time)
     execute_start = time.perf_counter()
     if job.ensembles:
-        for initial_state, count in _ensemble_groups(job, batch.shots, rng):
+        for placements, count in _ensemble_groups(job, batch.shots, rng):
             result = run_batched(
-                program, count, kernel_rng, noise=noise, initial_state=initial_state
+                program, count, kernel_rng, noise=noise, initial_state=placements
             )
             _accumulate_matrix(stats, result.clbits, job)
     else:

@@ -137,8 +137,16 @@ class Scheduler:
     # Dispatch policy
     # ------------------------------------------------------------------
     def estimate_job_seconds(self, job: Job, backend: str) -> float:
-        """The cost model's serial-runtime estimate for one job."""
+        """The cost model's serial-runtime estimate for one job.
+
+        The dense kernel holds only the live qubits, so unless the job
+        hands it a dense input vector it is costed at the circuit's peak
+        live width, not its allocated width.
+        """
         caps = get_capabilities(job.circuit)
+        width = caps.num_qubits
+        if backend == "statevector" and job.initial_state is None:
+            width = caps.peak_live_qubits
         noise = job.noise
         sites = caps.num_measurements
         if noise is not None and not noise.is_noiseless:
@@ -148,7 +156,7 @@ class Scheduler:
                 sites += caps.num_link_events
         return self.cost_model.estimate_job_seconds(
             shots=job.shots,
-            num_qubits=caps.num_qubits,
+            num_qubits=width,
             num_instructions=len(job.circuit.instructions),
             stochastic_sites=sites,
             backend=backend,

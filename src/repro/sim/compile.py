@@ -12,7 +12,13 @@ of that exactly once per circuit:
   which delimit the deterministic prefix the batched kernel can evolve once
   and share across a whole batch of shots;
 * **capability flags** (Clifford-ness, frame compatibility, measurement
-  census) are computed once so the backend router never re-scans the IR.
+  census, peak live width) are computed once so the backend router and the
+  cost model never re-scan the IR;
+* a **liveness layout** per input support (:meth:`CompiledProgram.live_layout`)
+  says where every qubit's axis sits in the kernel's state at every op: a
+  qubit comes alive at its first gate (a placed input register at its first
+  touch) and dies at an unconditioned measure or reset, so the batched
+  kernel holds the qubits that are alive, not the qubits that are allocated.
 
 Programs are cached per process, keyed by the circuit's content digest, so
 repeated jobs over the same circuit (the normal engine workload) compile
@@ -22,9 +28,13 @@ exactly once per worker.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from math import prod
 from threading import Lock
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +47,9 @@ __all__ = [
     "CircuitCapabilities",
     "CompiledOp",
     "CompiledProgram",
+    "GatePlan",
+    "LiveLayout",
+    "LiveStep",
     "analyze_circuit",
     "compile_circuit",
     "get_capabilities",
@@ -71,6 +84,11 @@ class CircuitCapabilities:
     """A measure or reset sits under a classical condition — the collapse
     structure is then shot-dependent, which rules out frame-based sampling
     even when the gate set is otherwise Clifford."""
+
+    peak_live_qubits: int = 0
+    """Most qubits alive at once when every qubit comes alive at its first
+    gate and dies at an unconditioned measure or reset: the width the
+    dense kernel simulates from a basis or one-qubit-register input."""
 
     @property
     def is_deterministic(self) -> bool:
@@ -108,6 +126,11 @@ class CompiledOp:
     sample_fault: bool = False
     qpu: str | None = None
     link_hops: int = 0
+    moves: tuple[tuple[int, int, complex], ...] | None = None
+    """For a ``matrix`` with one nonzero entry per row (a permutation with
+    phases: X, CX, SWAP, CSWAP, or any diagonal gate): its entries as
+    ``(row, column, entry)``, leaving out unit diagonal entries.  The
+    kernel applies such a gate in place by moving and scaling blocks."""
 
     @property
     def is_stochastic(self) -> bool:
@@ -120,6 +143,159 @@ class CompiledOp:
         )
 
 
+class GatePlan(NamedTuple):
+    """How a gate on some axes of a ``(m, 2**width)`` batch meets the state.
+
+    Each row is viewed with the gaps between the gate's axes merged, so
+    numpy iterates over few, long dimensions: ``shape`` is that view.
+    ``perm``/``block`` gather the gate's axes (in op order) where the
+    lowest of them sits, so one batched matmul applies the matrix to every
+    ``(2**k, rest)`` block, and ``permuted``/``inverse`` undo the gather.
+    A one-qubit gate, or a gate on adjacent axes in ascending order, needs
+    no gather: ``perm`` is the identity and no copy is made.
+    ``blocks[b]`` indexes the slice of ``shape`` where the gate's qubits
+    read ``b`` (first qubit most significant), for gates applied in place
+    by moving blocks (:attr:`CompiledOp.moves`).  ``real`` is the same
+    plan for the state's float64 view (one more, untouched, axis holding
+    the real and imaginary parts), which a real matrix multiplies directly.
+    """
+
+    shape: tuple[int, ...]
+    perm: tuple[int, ...]
+    block: tuple[int, int, int]
+    permuted: tuple[int, ...]
+    inverse: tuple[int, ...]
+    blocks: tuple[tuple, ...]
+    real: "GatePlan | None"
+
+
+@lru_cache(maxsize=4096)
+def _gate_plan(axes: tuple[int, ...], width: int, real: bool = True) -> GatePlan:
+    """The :class:`GatePlan` of a gate on ``axes`` of a width-``width`` row."""
+    dims: list[int] = []
+    where: dict[int, int] = {}
+    previous = -1
+    for axis in sorted(axes):
+        if axis - previous > 1:
+            dims.append(2 ** (axis - previous - 1))
+        where[axis] = len(dims)
+        dims.append(2)
+        previous = axis
+    if width - previous > 1:
+        dims.append(2 ** (width - previous - 1))
+    front = tuple(1 + where[axis] for axis in axes)
+    lead = (1,) if min(axes) > 0 else ()
+    rest = tuple(i for i in range(1 + len(lead), len(dims) + 1) if i not in front)
+    perm = (0,) + lead + front + rest
+    k = len(axes)
+    blocks = []
+    for b in range(2**k):
+        index = [slice(None)] * (len(dims) + 1)
+        for i, axis in enumerate(axes):
+            index[1 + where[axis]] = (b >> (k - 1 - i)) & 1
+        blocks.append(tuple(index))
+    return GatePlan(
+        shape=(-1,) + tuple(dims),
+        perm=perm,
+        block=(-1, 2**k, prod(dims[i - 1] for i in rest)),
+        permuted=(-1,)
+        + tuple(dims[i - 1] for i in lead)
+        + (2,) * k
+        + tuple(dims[i - 1] for i in rest),
+        inverse=tuple(perm.index(i) for i in range(len(perm))),
+        blocks=tuple(blocks),
+        real=_gate_plan(axes, width + 1, False) if real else None,
+    )
+
+
+class LiveStep(NamedTuple):
+    """How one op meets the live state (see :class:`LiveLayout`)."""
+
+    inserts: tuple[tuple[int, tuple[int, ...], bool], ...]
+    """``(rank, register, placed)`` axes to insert before the op, in order:
+    a placed input register (``placed``), or one qubit in its remembered
+    basis state."""
+
+    axes: tuple[int, ...]
+    """Rank of each of the op's qubits among the live qubits; empty for a
+    measure or reset of a qubit that has no axis."""
+
+    drop: bool
+    """The op is an unconditioned measure or reset of a live qubit: the
+    kernel keeps each shot's outcome slice and removes the axis."""
+
+    plan: GatePlan | None
+    """How a unitary op meets the state (``None`` for collapses)."""
+
+
+@dataclass(frozen=True)
+class LiveLayout:
+    """Where every qubit's axis sits at every op, for one input support.
+
+    Live qubits are held in ascending qubit order, so a qubit's axis is its
+    rank among the live qubits; with every qubit live the slot map is the
+    identity.  ``steps[i]`` belongs to ``program.ops[i]``; ``expand``
+    re-inserts every dead qubit (and any placed register no op touched) so
+    a final state can be handed back at full width.
+    """
+
+    steps: tuple[LiveStep, ...]
+    expand: tuple[tuple[int, tuple[int, ...], bool], ...]
+    peak: int
+
+
+def _plan_layout(
+    ops: tuple[CompiledOp, ...],
+    num_qubits: int,
+    registers: tuple[tuple[int, ...], ...] | None,
+) -> LiveLayout:
+    """The liveness pass: one forward scan of the compiled ops."""
+    if registers is None:
+        live = list(range(num_qubits))
+        pending: dict[int, tuple[int, ...]] = {}
+    else:
+        live = []
+        pending = {q: register for register in registers for q in register}
+    peak = len(live)
+
+    def insert(register: tuple[int, ...], out: list) -> None:
+        placed = register[0] in pending
+        for q in register:
+            pending.pop(q, None)
+        rank = bisect_left(live, register[0])
+        live[rank:rank] = register
+        out.append((rank, register, placed))
+
+    steps = []
+    for op in ops:
+        inserts: list = []
+        for q in sorted(op.qubits):
+            if q in pending:
+                insert(pending[q], inserts)
+            elif op.kind == "unitary" and q not in live:
+                insert((q,), inserts)
+        peak = max(peak, len(live))
+        if op.kind == "unitary":
+            axes = tuple(live.index(q) for q in op.qubits)
+            steps.append(LiveStep(tuple(inserts), axes, False, _gate_plan(axes, len(live))))
+            continue
+        qubit = op.qubits[0]
+        if qubit not in live:
+            steps.append(LiveStep(tuple(inserts), (), False, None))
+            continue
+        drop = op.condition is None
+        steps.append(LiveStep(tuple(inserts), (live.index(qubit),), drop, None))
+        if drop:
+            live.remove(qubit)
+    expand: list = []
+    for q in range(num_qubits):
+        if q in pending:
+            insert(pending[q], expand)
+        elif q not in live:
+            insert((q,), expand)
+    return LiveLayout(steps=tuple(steps), expand=tuple(expand), peak=peak)
+
+
 @dataclass(frozen=True)
 class CompiledProgram:
     """A frozen, directly executable lowering of one circuit.
@@ -127,6 +303,11 @@ class CompiledProgram:
     ``prefix_len`` counts the leading deterministic ops: with a shared input
     state the kernel evolves them on a single statevector and broadcasts to
     the batch only at the first stochastic site.
+
+    The kernel never holds all ``num_qubits`` axes unless the input is a
+    dense vector: :meth:`live_layout` maps qubits to axes by liveness, and
+    a run's state is ``(shots, 2**width)`` with ``width`` at most the
+    layout's ``peak``.
     """
 
     num_qubits: int
@@ -137,11 +318,36 @@ class CompiledProgram:
     prefix_len: int
     source_ops: int
     link_noise: bool = False
+    _layouts: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
         """Hilbert-space dimension."""
         return 2**self.num_qubits
+
+    def live_layout(
+        self, registers: tuple[tuple[int, ...], ...] | None = None
+    ) -> LiveLayout:
+        """The liveness layout for one input support, resolved once.
+
+        ``registers=None`` is a dense input: every qubit is live from the
+        start.  Otherwise ``registers`` lists the placed input registers
+        (contiguous ascending qubit tuples; ``()`` is the |0...0> input):
+        a placed register comes alive as a whole at the first op touching
+        it, any other qubit at its first gate.
+        """
+        layout = self._layouts.get(registers)
+        if layout is None:
+            layout = _plan_layout(self.ops, self.num_qubits, registers)
+            self._layouts[registers] = layout
+        return layout
+
+    def __getstate__(self) -> dict:
+        # Layouts are a per-process cache: never ship them to pool workers.
+        return {**self.__dict__, "_layouts": {}}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
 
 
 def analyze_circuit(circuit: Circuit) -> CircuitCapabilities:
@@ -153,21 +359,24 @@ def analyze_circuit(circuit: Circuit) -> CircuitCapabilities:
     has_conditional = False
     has_conditioned_collapse = False
     num_link_events = 0
+    live: set[int] = set()
+    peak_live = 0
     for inst in circuit.instructions:
         if inst.name == "barrier":
             continue
-        if inst.name == "measure":
-            num_measurements += 1
+        if inst.name in ("measure", "reset"):
+            if inst.name == "measure":
+                num_measurements += 1
+            else:
+                has_reset = True
             if inst.condition is not None:
                 has_conditional = True
                 has_conditioned_collapse = True
+            else:
+                live.discard(inst.qubits[0])
             continue
-        if inst.name == "reset":
-            has_reset = True
-            if inst.condition is not None:
-                has_conditional = True
-                has_conditioned_collapse = True
-            continue
+        live.update(inst.qubits)
+        peak_live = max(peak_live, len(live))
         if inst.hops:
             num_link_events += 1
         if inst.condition is not None:
@@ -187,6 +396,7 @@ def analyze_circuit(circuit: Circuit) -> CircuitCapabilities:
         has_conditional=has_conditional,
         num_link_events=num_link_events,
         has_conditioned_collapse=has_conditioned_collapse,
+        peak_live_qubits=peak_live,
     )
 
 
@@ -208,6 +418,26 @@ def _fuse_group(gates: list[tuple[np.ndarray, tuple[int, ...]]]) -> CompiledOp:
     for matrix, qubits in gates:
         fused = embed_operator(matrix, [position[q] for q in qubits], width) @ fused
     return CompiledOp(kind="unitary", qubits=tuple(support), matrix=fused)
+
+
+def _specialise(op: CompiledOp) -> CompiledOp:
+    """Record a unitary's structure for the kernel: a permutation-with-phases
+    matrix as its block moves, and a real matrix as float64 (applied to the
+    state's real view: a real instead of a complex matmul)."""
+    if op.matrix is None:
+        return op
+    matrix = op.matrix
+    moves = None
+    nonzero = matrix != 0
+    if np.all(nonzero.sum(axis=1) == 1) and np.all(nonzero.sum(axis=0) == 1):
+        moves = tuple(
+            (row, int(col), complex(matrix[row, col]))
+            for row, col in enumerate(np.argmax(nonzero, axis=1))
+            if row != col or matrix[row, col] != 1
+        )
+    if not np.any(matrix.imag):
+        matrix = np.ascontiguousarray(matrix.real)
+    return replace(op, matrix=matrix, moves=moves)
 
 
 def compile_circuit(
@@ -294,6 +524,7 @@ def compile_circuit(
         pending.append((matrix, inst.qubits))
         pending_support.update(union)
     flush()
+    ops = [_specialise(op) for op in ops]
 
     prefix_len = 0
     for op in ops:

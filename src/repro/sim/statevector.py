@@ -11,7 +11,7 @@ truth the vectorized batch kernel (:mod:`repro.sim.batched`) is
 cross-validated against.  Multi-shot sampling
 (:meth:`StatevectorSimulator.sample_counts`) is a thin wrapper over that
 kernel — circuits are compiled once (:mod:`repro.sim.compile`) and whole
-batches evolve as one ``(shots, 2**n)`` array.  The engine exposes the
+batches evolve as one ``(shots, 2**live)`` array over the live qubits.  The engine exposes the
 per-shot path as ``backend="statevector-ref"``.
 
 Qubit 0 is the most significant bit of basis-state indices (big-endian),
@@ -208,7 +208,7 @@ class StatevectorSimulator:
 
         Thin wrapper over the vectorized batch kernel: the circuit is
         compiled once (cached per process) and all shots evolve together as
-        a ``(shots, 2**n)`` array.
+        one array over the live qubits (all of them, for a dense input).
         """
         gate_noise = self.noise is not None and self.noise.has_gate_noise
         link_noise = self.noise is not None and self.noise.has_link_noise

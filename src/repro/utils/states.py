@@ -7,7 +7,6 @@ reproducible generators for all of them.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -16,6 +15,7 @@ from .linalg import kron_all
 
 __all__ = [
     "assemble_initial_state",
+    "check_placements",
     "computational_basis_state",
     "plus_state",
     "ghz_state",
@@ -147,38 +147,46 @@ def product_state(vectors: Sequence[np.ndarray]) -> np.ndarray:
     return kron_all(list(vectors))
 
 
+def check_placements(
+    num_qubits: int, placements: Mapping[tuple[int, ...], np.ndarray]
+) -> dict[tuple[int, ...], np.ndarray]:
+    """Validate register placements; returns them as complex vectors.
+
+    Each key is a tuple of *contiguous ascending* qubit indices inside the
+    ``num_qubits`` register, keys do not overlap, and each value is a
+    statevector of the key's width.
+    """
+    checked: dict[tuple[int, ...], np.ndarray] = {}
+    taken: set[int] = set()
+    for qubits, vector in placements.items():
+        qubits = tuple(int(q) for q in qubits)
+        if not qubits or list(qubits) != list(range(qubits[0], qubits[0] + len(qubits))):
+            raise ValueError(f"register {qubits} is not contiguous ascending")
+        if qubits[0] < 0 or qubits[-1] >= num_qubits:
+            raise ValueError("placements exceed the register")
+        if taken.intersection(qubits):
+            raise ValueError("overlapping placements")
+        taken.update(qubits)
+        vector = np.asarray(vector, dtype=complex)
+        if vector.shape != (2 ** len(qubits),):
+            raise ValueError("placement vector has wrong dimension")
+        checked[qubits] = vector
+    return checked
+
+
 def assemble_initial_state(
     num_qubits: int, placements: Mapping[tuple[int, ...], np.ndarray]
 ) -> np.ndarray:
     """Tensor statevectors into a full register, |0> elsewhere.
 
-    Each key is a tuple of *contiguous ascending* global qubit indices; the
-    value is the statevector to load there.
+    ``placements`` is checked by :func:`check_placements`.
     """
-    segments: list[tuple[int, np.ndarray]] = []
-    for qubits, vector in placements.items():
-        qubits = tuple(qubits)
-        if list(qubits) != list(range(qubits[0], qubits[0] + len(qubits))):
-            raise ValueError(f"register {qubits} is not contiguous ascending")
-        vector = np.asarray(vector, dtype=complex)
-        if vector.shape != (2 ** len(qubits),):
-            raise ValueError("placement vector has wrong dimension")
-        segments.append((qubits[0], vector))
-    segments.sort()
+    zero = np.array([1.0, 0.0], dtype=complex)
     parts: list[np.ndarray] = []
     cursor = 0
-    zero = np.array([1.0, 0.0], dtype=complex)
-    for start, vector in segments:
-        if start < cursor:
-            raise ValueError("overlapping placements")
-        while cursor < start:
-            parts.append(zero)
-            cursor += 1
+    for qubits, vector in sorted(check_placements(num_qubits, placements).items()):
+        parts.extend([zero] * (qubits[0] - cursor))
         parts.append(vector)
-        cursor += int(math.log2(len(vector)))
-    while cursor < num_qubits:
-        parts.append(zero)
-        cursor += 1
-    if cursor != num_qubits:
-        raise ValueError("placements exceed the register")
+        cursor = qubits[-1] + 1
+    parts.extend([zero] * (num_qubits - cursor))
     return kron_all(parts)

@@ -221,6 +221,58 @@ def feedback_circuits(draw):
     return circuit
 
 
+LIVENESS_PATTERNS = ("reuse", "abandon", "conditioned_reset", "flip_then_reset")
+
+
+@st.composite
+def liveness_circuits(draw):
+    """Circuits that kill and revive qubits between random gates.
+
+    Each block is a random gate followed by one pattern on a random qubit:
+    measure -> reset -> reuse; measure and never touch again; measure ->
+    parity-conditioned reset -> reuse; measure -> reset -> measure again
+    (under readout noise the first record may be flipped, the reset must
+    still act on the true outcome).  These are the places the live-width
+    kernel drops an axis, collapses a qubit that has none, and re-inserts
+    it in its remembered basis state.
+    """
+    n = draw(st.integers(2, 4))
+    num_clbits = 3
+    clbit = st.integers(0, num_clbits - 1)
+    circuit = Circuit(n, num_clbits)
+    alive = list(range(n))
+
+    def gate(forced_qubit=None):
+        names = [g for g in ALL_GATES if GATES[g].num_qubits <= len(alive)]
+        name = draw(st.sampled_from(names))
+        others = [q for q in alive if q != forced_qubit]
+        qubits = draw(st.permutations(others))[: GATES[name].num_qubits]
+        if forced_qubit is not None:
+            qubits = [forced_qubit] + list(qubits[: GATES[name].num_qubits - 1])
+        circuit.append(name, qubits)
+
+    for _ in range(draw(st.integers(2, 5))):
+        gate()
+        pattern = draw(st.sampled_from(LIVENESS_PATTERNS))
+        q = draw(st.sampled_from(alive))
+        circuit.measure(q, draw(clbit))
+        if pattern == "abandon":
+            if len(alive) > 1:
+                alive.remove(q)
+            continue
+        if pattern == "conditioned_reset":
+            condition = Condition((draw(clbit),), draw(st.integers(0, 1)))
+            circuit.append("reset", [q], condition=condition)
+        else:
+            circuit.reset(q)
+        if pattern == "flip_then_reset":
+            circuit.measure(q, draw(clbit))
+        else:
+            gate(forced_qubit=q)
+    circuit.measure(draw(st.sampled_from(alive)), num_clbits - 1)
+    return circuit
+
+
 class TestKernelVsDensityExact:
     def _compare(self, circuit, noise, shots=6000, atol=0.035, seed=11, sigmas=None):
         """Kernel frequencies vs exact branch probabilities.
@@ -256,6 +308,20 @@ class TestKernelVsDensityExact:
         ),
     )
     def test_random_feedback_circuits_match_density_at_5_sigma(self, circuit, noise):
+        self._compare(circuit, noise, shots=4000, seed=7, sigmas=5.0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        circuit=liveness_circuits(),
+        noise=st.sampled_from(
+            [
+                NoiseModel(p1=0.1, p2=0.2, p_meas=0.05),
+                NoiseModel(p1=0.0, p2=0.0, p_meas=0.15),
+                None,
+            ]
+        ),
+    )
+    def test_dead_and_revived_qubits_match_density_at_5_sigma(self, circuit, noise):
         self._compare(circuit, noise, shots=4000, seed=7, sigmas=5.0)
 
     def test_noiseless_bell_sampling(self):
